@@ -51,6 +51,13 @@ EOF
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
+echo "== bench goldens (simulated outputs of the four benchmark workloads) =="
+# Three replays per workload, no timing budget; bench/run.py exits
+# non-zero when any replay's digest differs from bench/goldens.json.
+for workload in pressure backlog sparse observed; do
+    python3 bench/run.py --workload "$workload" --seconds 0 | tail -n 1
+done
+
 echo "== parallel smoke sweep (--jobs 2 vs --jobs 1) =="
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT

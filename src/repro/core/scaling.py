@@ -35,10 +35,11 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Set
 
 from repro.core.window import MINUTES_MS, SlidingWindow
-from repro.policies.base import (OrchestrationPolicy, ScalingDecision)
+from repro.policies.base import (OrchestrationPolicy, PolicyContext,
+                                 ScalingDecision)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.container import Container
@@ -98,6 +99,13 @@ class CSSScalingMixin(OrchestrationPolicy):
         self._delay_window: Dict[str, SlidingWindow] = {}
         self._idle_window: Dict[str, SlidingWindow] = {}
         self._last_created: Dict[str, _LastCreated] = {}
+        #: Open-gate functions whose last maintenance-time backlog cover
+        #: found nothing to provision, with no count change since.
+        self._covered: Set[str] = set()
+
+    def bind(self, ctx: PolicyContext) -> None:
+        super().bind(ctx)
+        self._covered.clear()  # change records are per orchestrator
 
     # ------------------------------------------------------------------
     # Window helpers
@@ -226,6 +234,8 @@ class CSSScalingMixin(OrchestrationPolicy):
                  trigger: str) -> None:
         """Flip the per-function gate, noting the transition."""
         self._bss_enabled[func] = enabled
+        if not enabled:
+            self._covered.discard(func)
         if self.metrics is not None:
             self.metrics.counter(
                 "repro_bss_gate_flips_total",
@@ -261,18 +271,26 @@ class CSSScalingMixin(OrchestrationPolicy):
             record.update(extra)
         self.audit.emit(record)
 
-    def _cover_backlog(self, func: str) -> None:
+    def _cover_backlog(self, func: str) -> bool:
         """Provision speculative containers for queued requests that no
-        in-flight provision is going to serve."""
+        in-flight provision is going to serve.
+
+        Returns True when there was nothing to provision: another call
+        does nothing too until ``func``'s unserved-waiter or in-flight
+        count changes.
+        """
         if self.ctx is None or not self.cover_backlog:
-            return
+            return True
         backlog = self.ctx.outstanding_waiters(func)
         if backlog <= 0:
-            return  # in-flight count is irrelevant; skip its worker sum
+            return True  # in-flight count is irrelevant; skip its worker sum
         in_flight = self.ctx.provisions_in_flight(func)
+        if backlog <= in_flight:
+            return True
         for _ in range(backlog - in_flight):
             if not self.ctx.speculate_for(func):
                 break
+        return False
 
     def _demand_exceeds_pool(self, request: "Request",
                              worker: "Worker") -> bool:
@@ -305,10 +323,22 @@ class CSSScalingMixin(OrchestrationPolicy):
         as soon as ``T_d`` exceeds ``T_p`` — not merely one container per
         *new* arrival. Without this, disabling BSS would strand queued
         requests behind however many busy containers happen to exist.
+
+        Functions are visited in ``waiting_functions()`` order, except
+        that an open-gate function whose last cover here found nothing to
+        provision is skipped until the orchestrator reports a change to
+        its unserved-waiter or in-flight count: the cover reads only those
+        two counts, so it would find nothing again.
         """
         super().on_maintenance(now)
         assert self.ctx is not None
+        covered = self._covered
+        covered.difference_update(self.ctx.take_changed_functions())
         for func in self.ctx.waiting_functions():
+            if func in covered:
+                # Open gate, counts unchanged since a cover that found
+                # nothing to do: covering again provably does nothing.
+                continue
             # The T_d/T_p statistics only gate the *disabled* branch, so
             # they are computed lazily: when the gate is already open the
             # window queries (and their pruning) are deferred to the next
@@ -323,7 +353,8 @@ class CSSScalingMixin(OrchestrationPolicy):
             # BSS (re-)enabled: cover the backlog with speculative
             # provisions, one per queued request not already matched by an
             # in-flight provision.
-            self._cover_backlog(func)
+            if self._cover_backlog(func):
+                covered.add(func)
 
     def maintenance_horizon(self, now: float) -> Optional[float]:
         """Queue re-evaluation is a provable no-op while nothing is queued:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Protocol
+from typing import TYPE_CHECKING, List, Optional, Protocol, Set
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.container import Container
@@ -117,6 +117,11 @@ class PolicyContext(Protocol):
 
     def waiting_functions(self) -> List[str]:
         """Functions that currently have unserved queued requests."""
+
+    def take_changed_functions(self) -> Set[str]:
+        """Functions whose unserved-waiter count or in-flight count
+        (:meth:`provisions_in_flight`) changed since the previous call.
+        The record then starts over, so one consumer owns it."""
 
 
 class OrchestrationPolicy:

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from math import inf
 from typing import Any, Callable, Optional
 
 
@@ -162,9 +163,8 @@ class Simulator:
     def at(self, time: float, callback: Callable[..., Any],
            *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
-        if time < self._now:
-            raise ValueError(
-                f"cannot schedule at {time} before now={self._now}")
+        if not self._now <= time < inf:
+            raise ValueError(self._bad_time("schedule", time))
         event = Event(time, next(self._seq), callback, args)
         event._sim = self
         heapq.heappush(self._heap, (time, event.seq, event))
@@ -174,6 +174,12 @@ class Simulator:
         else:
             self._real += 1
         return event
+
+    def _bad_time(self, verb: str, time: float) -> str:
+        if time < self._now:
+            return f"cannot {verb} at {time} before now={self._now}"
+        return (f"cannot {verb} at non-finite time {time}: the replay "
+                f"would never reach it")
 
     def every(self, interval: float, callback: Callable[..., Any],
               *args: Any,
@@ -208,11 +214,25 @@ class Simulator:
         if self._running:
             raise RuntimeError("cannot bind a stream while running")
         n = len(times)
-        for i in range(max(start, 1), n):
-            if times[i] < times[i - 1]:
-                raise ValueError("stream timestamps must be non-decreasing")
-        if n > start and times[start] < self._now:
-            raise ValueError("stream starts in the past")
+        if n > start:
+            prev = times[start]
+            if not self._now <= prev < inf:
+                if prev < self._now:
+                    raise ValueError("stream starts in the past")
+                raise ValueError(
+                    f"stream row {start} has non-finite time {prev}")
+            for i in range(start + 1, n):
+                t = times[i]
+                # One chained compare rejects both a step back and a
+                # non-finite time (NaN fails every comparison).
+                if not prev <= t < inf:
+                    if t < prev:
+                        raise ValueError(
+                            f"stream timestamps must be non-decreasing "
+                            f"(row {i}: {t} after {prev})")
+                    raise ValueError(
+                        f"stream row {i} has non-finite time {t}")
+                prev = t
         self._stream_times = times
         self._stream_dispatch = dispatch
         self._stream_pos = start
@@ -235,12 +255,23 @@ class Simulator:
             raise ValueError("cannot reschedule a cancelled event")
         if event._sim is not self:
             raise ValueError("event is not queued on this simulator")
-        if time < self._now:
-            raise ValueError(
-                f"cannot reschedule at {time} before now={self._now}")
+        if not self._now <= time < inf:
+            raise ValueError(self._bad_time("reschedule", time))
         event.time = time
         event.seq = next(self._seq)
         heapq.heappush(self._heap, (time, event.seq, event))
+
+    def next_time(self) -> float:
+        """Earliest time at which anything queued may fire: the heap
+        head or the next stream row, ``inf`` when both are empty. A
+        cancelled or stale heap head still counts, so this is a lower
+        bound on the next event's time."""
+        head = self._heap[0][0] if self._heap else inf
+        if self._stream_pos < self._stream_len:
+            row = self._stream_times[self._stream_pos]
+            if row < head:
+                return row
+        return head
 
     def _stream_remaining(self) -> int:
         return self._stream_len - self._stream_pos

@@ -28,7 +28,7 @@ import random
 import zlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional, Sequence
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.sim.config import SimulationConfig
 from repro.sim.container import Container, ContainerState
@@ -82,7 +82,6 @@ class _PendingProvision:
     waiter: Optional[_Waiter]
     speculative: bool
     prewarm: bool = False
-    abandoned: bool = False
 
 
 class _ExecProgress:
@@ -232,9 +231,18 @@ class Orchestrator:
         self._waiters: Dict[str, Deque[_Waiter]] = {}
         self._unserved: Dict[str, int] = {}
         self._committed: Dict[int, Deque[_Waiter]] = {}
-        self._pending: List[_PendingProvision] = []
+        #: Blocked provisions in FIFO order; retry passes consume the head.
+        self._pending: Deque[_PendingProvision] = deque()
         self._pending_by_func: Dict[str, int] = {}
         self._retry_scheduled = False
+        #: Functions whose unserved-waiter or in-flight count changed
+        #: since the policy last took them (:meth:`take_changed_functions`).
+        self._changed: Set[str] = set()
+        #: Bumped with every such change; part of the retry signature.
+        self._epoch = 0
+        #: Signature of the state the last retry pass that did nothing
+        #: ran in (see :meth:`_retry_signature`), or None.
+        self._retry_clean: Optional[tuple] = None
         #: Packed-trace replay state (set by :meth:`run`).
         self._packed = None
         self._materialized: List[Request] = []
@@ -324,6 +332,13 @@ class Orchestrator:
                           # shard: cross-worker provision count aggregated across the whole pool
                           for w in self._workers)
         return started + self._pending_by_func.get(func, 0)
+
+    def take_changed_functions(self) -> Set[str]:
+        """Functions whose unserved-waiter count or in-flight count
+        (:meth:`provisions_in_flight`) changed since the previous call."""
+        changed = self._changed
+        self._changed = set()
+        return changed
 
     def speculate_for(self, func: str) -> bool:
         """Provision one unbound speculative container for ``func``.
@@ -504,11 +519,12 @@ class Orchestrator:
         The engine calls this only when undispatched stream rows remain,
         no real (non-periodic) heap events exist, and at least one
         periodic tick precedes ``next_arrival``. Skipping is sound only
-        when additionally (a) no blocked provision is waiting — each
-        maintenance tick would otherwise schedule a retry — and (b) the
-        policy proves its maintenance inert up to a horizon. Returns the
-        number of ticks advanced (0 = run the gap through the event
-        loop).
+        when additionally (a) no blocked provision is waiting — a skipped
+        tick never reaches :meth:`_schedule_retry`, which schedules a
+        retry pass unless the retry state is unchanged since the last
+        pass that did nothing — and (b) the policy proves its maintenance
+        inert up to a horizon. Returns the number of ticks advanced (0 =
+        run the gap through the event loop).
         """
         if self._pending:
             return 0
@@ -645,6 +661,10 @@ class Orchestrator:
             self._restart_times.append(restart_at)
             self.sim.at(restart_at, self._on_worker_restart, worker)
         victims = worker.crash()
+        # Provisions died with the worker and blocked ones may move:
+        # every function's in-flight count is suspect.
+        self._changed.update(self.specs)
+        self._epoch += 1
         self.metrics.crash_destroyed += len(victims)
         if self.attribution is not None:
             self.attribution.note_crash(c.spec.name for c in victims)
@@ -695,7 +715,7 @@ class Orchestrator:
         # if nothing is online they stay put until a restart retries them.
         if self._any_online():
             for pend in self._pending:
-                if pend.worker is worker and not pend.abandoned:
+                if pend.worker is worker:
                     pend.worker = self._dispatch(pend.spec.name)
         self._rescue_starved()
 
@@ -741,6 +761,7 @@ class Orchestrator:
             if restart_at is None:
                 waiter.served = True
                 self._unserved[request.func] -= 1
+                self._touch(request.func)
                 self._fail_request(request, "no-online-workers")
             else:
                 self.sim.at(restart_at, self._rebind_waiter, waiter)
@@ -791,6 +812,7 @@ class Orchestrator:
                     continue
                 waiter.served = True
                 self._unserved[func] -= 1
+                self._touch(func)
                 self.sim.schedule(0.0, self._on_reassigned, waiter.request)
 
     # ==================================================================
@@ -805,6 +827,7 @@ class Orchestrator:
                 spec, worker, waiter, speculative, prewarm))
             self._pending_by_func[spec.name] = \
                 self._pending_by_func.get(spec.name, 0) + 1
+            self._touch(spec.name)
             if self._m_blocked is not None:
                 self._m_blocked.inc()
             return None
@@ -820,6 +843,7 @@ class Orchestrator:
                               threads=self.config.threads_per_container,
                               speculative=speculative)
         worker.add(container)
+        self._touch(spec.name)
         if waiter is not None:
             waiter.bound = container
         if prewarm:
@@ -865,6 +889,7 @@ class Orchestrator:
         old_mb = container.memory_mb
         delta = container.spec.memory_mb - old_mb
         container.begin_restore(now)  # not evictable while we make room
+        self._touch(request.func)  # in flight now, and again if aborted
         if not self.policy.make_room(worker, delta, now,
                                      for_func=request.func):
             container.abort_restore(old_mb / container.spec.memory_mb)
@@ -896,6 +921,7 @@ class Orchestrator:
             return
         now = self.sim.now
         container.mark_ready(now)
+        self._touch(container.spec.name)
         self._log(EventKind.CONTAINER_READY, container.spec.name,
                   container_id=container.container_id,
                   worker_id=container.worker.worker_id
@@ -925,11 +951,14 @@ class Orchestrator:
         func = waiter.request.func
         self._waiters.setdefault(func, deque()).append(waiter)
         self._unserved[func] = self._unserved.get(func, 0) + 1
+        self._touch(func)
 
     def _serve(self, container: Container, waiter: _Waiter,
                start_type: StartType) -> None:
+        func = waiter.request.func
         waiter.served = True
-        self._unserved[waiter.request.func] -= 1
+        self._unserved[func] -= 1
+        self._touch(func)
         if (waiter.committed is not None
                 and waiter.committed is not container):
             # Served elsewhere: trim dead references from the ends of the
@@ -1159,36 +1188,68 @@ class Orchestrator:
         return None
 
     # ==================================================================
+    # Change tracking (event-driven maintenance and retries)
+
+    def _touch(self, func: str) -> None:
+        """Record that ``func``'s unserved-waiter or in-flight count
+        moved (or may have)."""
+        self._changed.add(func)
+        self._epoch += 1
+
+    def _retry_signature(self) -> tuple:
+        """Everything a retry pass reads: the change epoch (the pending
+        list and the waiter state that decides abandonment) and each
+        worker's committed memory, evictable set and liveness. ``make_room``
+        succeeds or fails on these alone, and a failed call that leaves
+        them unchanged has no other effect."""
+        return (self._epoch, *[
+            (w.used_mb, w.evictable_version, w.online)
+            # shard: cross-worker a retry pass may try any worker's memory
+            for w in self._workers])
+
+    # ==================================================================
     # Blocked provisions
 
     def _schedule_retry(self) -> None:
-        if not self._retry_scheduled:
-            self._retry_scheduled = True
-            self.sim.schedule(0.0, self._retry_pending)
+        """Arrange a retry pass at the current time, unless it provably
+        does nothing: it would run next, in the very state in which the
+        last pass did nothing."""
+        if self._retry_scheduled:
+            return
+        sim = self.sim
+        if (self._retry_clean is not None and sim.next_time() > sim.now
+                and self._retry_signature() == self._retry_clean):
+            return
+        self._retry_scheduled = True
+        sim.schedule(0.0, self._retry_pending)
 
     def _retry_pending(self) -> None:
         self._retry_scheduled = False
-        still_blocked: List[_PendingProvision] = []
+        signature = self._retry_signature()
+        if signature == self._retry_clean:
+            return
+        pending = self._pending
         # Once a worker fails to free memory, stop hammering it this round:
         # later (FIFO) provisions are no more likely to fit, and probing
         # each pending entry would make retries quadratic under a burst.
-        # Entries skipped this way keep their (possibly stale) abandoned
-        # state and are re-checked on a later retry.
+        # Entries skipped this way are re-checked for abandonment on a
+        # later retry. When every online worker is stuck, the rest of the
+        # queue stays as it is.
         stuck_workers: set = set()
-        single_worker = len(self._workers) == 1
-        pending = self._pending
-        for i, pend in enumerate(pending):
+        # shard: cross-worker count of workers a pass can still try
+        online = sum(1 for w in self._workers if w.online)
+        kept: List[_PendingProvision] = []
+        while pending and len(stuck_workers) < online:
+            pend = pending.popleft()
             if self._faults is not None and not pend.worker.online:
-                still_blocked.append(pend)
+                kept.append(pend)
                 continue
             if pend.worker.worker_id in stuck_workers:
-                if single_worker:
-                    still_blocked.extend(pending[i:])
-                    break
-                still_blocked.append(pend)
+                kept.append(pend)
                 continue
-            if pend.abandoned or self._should_abandon(pend):
+            if self._should_abandon(pend):
                 self._pending_by_func[pend.spec.name] -= 1
+                self._touch(pend.spec.name)
                 continue
             if self.policy.make_room(pend.worker, pend.spec.memory_mb,
                                      self.sim.now, for_func=pend.spec.name):
@@ -1197,8 +1258,13 @@ class Orchestrator:
                                       pend.speculative, pend.prewarm)
             else:
                 stuck_workers.add(pend.worker.worker_id)
-                still_blocked.append(pend)
-        self._pending = still_blocked
+                kept.append(pend)
+        pending.extendleft(reversed(kept))
+        # Every drop or start bumps the epoch, so an unchanged signature
+        # means the pass did nothing and will do nothing again until what
+        # it reads changes.
+        self._retry_clean = (signature if self._retry_signature() == signature
+                             else None)
 
     def _should_abandon(self, pend: _PendingProvision) -> bool:
         """Skip blocked provisions that no longer have anyone to serve."""

@@ -111,9 +111,11 @@ class Worker:
         self._evictable_mb_cache = 0.0
         self._oldest_evictable_gen = -1
         self._oldest_evictable_cache: Optional[float] = None
-        #: Running memory total per container state.
-        self._state_mb: Dict[ContainerState, float] = {
-            state: 0.0 for state in ContainerState}
+        #: Running memory total per container state, keyed by the
+        #: state's value string: ``Enum.__hash__`` is Python-level, and
+        #: these totals move on every container transition.
+        self._state_mb: Dict[str, float] = {
+            state._value_: 0.0 for state in ContainerState}
 
     # ------------------------------------------------------------------
     # Memory accounting
@@ -219,8 +221,8 @@ class Worker:
         self._evictable_gen += 1
         self._reservations.clear()
         self._charge(-self._used_mb)
-        for state in ContainerState:
-            self._state_mb[state] = 0.0
+        for key in self._state_mb:
+            self._state_mb[key] = 0.0
         self.online = False
         return victims
 
@@ -247,7 +249,7 @@ class Worker:
         if state in (ContainerState.IDLE, ContainerState.COMPRESSED):
             self._evictable[cid] = container
             self._evictable_gen += 1
-        self._state_mb[state] += mb
+        self._state_mb[state._value_] += mb
 
     def _unfile(self, index: _FuncIndex, container: Container,
                 state: ContainerState, mb: float) -> None:
@@ -260,7 +262,7 @@ class Worker:
         if cid in self._evictable:
             del self._evictable[cid]
             self._evictable_gen += 1
-        self._state_mb[state] -= mb
+        self._state_mb[state._value_] -= mb
 
     def _on_container_event(self, container: Container,
                             old_state: ContainerState,
@@ -321,9 +323,9 @@ class Worker:
             self.containers[cid].memory_mb
             for cid in sorted(evictable_ids)), "evictable_mb cache stale"
         for state in ContainerState:
-            assert abs(self._state_mb[state] - state_mb[state]) < 1e-6, (
-                f"state_mb[{state.value}] {self._state_mb[state]} "
-                f"!= {state_mb[state]}")
+            running = self._state_mb[state._value_]
+            assert abs(running - state_mb[state]) < 1e-6, (
+                f"state_mb[{state.value}] {running} != {state_mb[state]}")
         # Reference summation order: ascending container id, then
         # reservations in sorted-tag order (FPX discipline — the cached
         # total this checks against must be reproducible bit-for-bit).
@@ -442,6 +444,11 @@ class Worker:
             return [c for c in self.containers.values() if c.is_evictable]
         return self._evictable.values()
 
+    @property
+    def evictable_version(self) -> int:
+        """A counter that moves whenever the evictable set changes."""
+        return self._evictable_gen
+
     def evictable_mb(self) -> float:
         """Total reclaimable memory.
 
@@ -480,7 +487,7 @@ class Worker:
 
     def state_mb(self, state: ContainerState) -> float:
         """Running committed-memory total of containers in ``state``."""
-        return self._state_mb[state]
+        return self._state_mb[state._value_]
 
     def all_funcs(self) -> Iterable[str]:
         return self._by_func.keys()

@@ -1,5 +1,7 @@
 """Tests for the experiment harness and the CLI."""
 
+import itertools
+
 import pytest
 
 from repro.cli import main
@@ -397,7 +399,13 @@ class TestBenchThroughputCLI:
         return tiny
 
     def test_bench_writes_payload_and_self_check_passes(
-            self, tiny_suite, tmp_path, capsys):
+            self, tiny_suite, tmp_path, capsys, monkeypatch):
+        # A fixed-step clock makes every replay take exactly one step, so
+        # the self-check compares equal rates instead of two host timings.
+        from repro.experiments import throughput
+        ticks = itertools.count()
+        monkeypatch.setattr(throughput, "perf_counter",
+                            lambda: next(ticks) * 0.5)
         out = str(tmp_path / "bench.json")
         assert main(["bench-throughput", "--out", out]) == 0
         assert "replay throughput" in capsys.readouterr().out
