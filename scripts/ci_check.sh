@@ -198,21 +198,28 @@ python -m repro.cli "${cont_common[@]}" \
 cmp "$tmpdir/events-plain.jsonl" "$tmpdir/events-inert.jsonl"
 echo "inert contention model matches contention-off byte-for-byte"
 # A live model must itself be deterministic across the classic,
-# reference and fast-forward replays (rescheduled completions are real
-# heap events, so the analytic skip cannot jump a retiming).
+# reference, fast-forward and sanitized replays (each busy worker's one
+# completion event is a real heap event, so the analytic skip cannot
+# jump a retiming; the sanitizer checks that event against the worker's
+# earliest execution on every sweep).
 python -m repro.cli "${cont_common[@]}" --contention-cores 1 \
     --events-out "$tmpdir/events-cont.jsonl" > /dev/null
 python -m repro.cli "${cont_common[@]}" --contention-cores 1 --reference \
     --events-out "$tmpdir/events-cont-ref.jsonl" > /dev/null
 python -m repro.cli "${cont_common[@]}" --contention-cores 1 --fast-forward \
     --events-out "$tmpdir/events-cont-ff.jsonl" > /dev/null
+python -m repro.cli "${cont_common[@]}" --contention-cores 1 --sanitize \
+    --events-out "$tmpdir/events-cont-san.jsonl" > /dev/null \
+    2> "$tmpdir/cont-sanitizer.log"
 cmp "$tmpdir/events-cont.jsonl" "$tmpdir/events-cont-ref.jsonl"
 cmp "$tmpdir/events-cont.jsonl" "$tmpdir/events-cont-ff.jsonl"
+cmp "$tmpdir/events-cont.jsonl" "$tmpdir/events-cont-san.jsonl"
+grep -q "sanitizer: ok" "$tmpdir/cont-sanitizer.log"
 grep -q 'slowdown=' "$tmpdir/events-cont.jsonl" || {
     echo "FATAL: contention smoke slowed nothing (vacuous run)" >&2
     exit 1
 }
-echo "contention replay deterministic across classic/reference/fast-forward"
+echo "contention replay deterministic: classic/reference/fast-forward/sanitized"
 
 echo "== replay throughput smoke (ci-smoke vs committed baseline) =="
 # Gate on the committed trajectory point, both replay modes. The band

@@ -27,8 +27,9 @@ Scenarios
 ``contention``
     A memory-pressured replay under a 4-core ``ContentionModel``
     (``repro.sim.contention``) — times the progress-based completion
-    path: per-concurrency-transition retiming and the engine reschedules
-    it issues.
+    path: per-concurrency-transition retiming of every co-running
+    execution's ledger, and the move of the worker's one queued
+    completion event to the earliest of them.
 
 Use
 ---
@@ -96,7 +97,7 @@ class BenchScenario:
     #: When set, the cell replays under a ``ContentionModel`` with this
     #: many cores per worker (default fair-share curve) — times the
     #: progress-based completion path: per-transition retiming and the
-    #: reschedule machinery it leans on.
+    #: per-worker completion event it moves.
     contention_cores: Optional[int] = None
 
     def build_trace(self) -> Trace:
@@ -179,7 +180,8 @@ SCENARIOS: Tuple[BenchScenario, ...] = (
         name="contention",
         description="memory-pressured replay under a 4-core contention "
                     "model: times the progress-based completion path "
-                    "(per-transition retiming, engine reschedules)",
+                    "(per-transition ledger retiming, one queued "
+                    "completion per worker)",
         seed=7, total_requests=20_000, capacity_gb=4.0,
         policies=("TTL", "CIDRE"), contention_cores=4),
     BenchScenario(

@@ -71,7 +71,7 @@ class SimulationConfig:
         Optional :class:`~repro.sim.contention.ContentionModel`: each
         worker gets a CPU core budget and co-located in-flight
         executions slow each other down, with completions tracked as
-        remaining work rescheduled on every concurrency transition
+        remaining work re-keyed on every concurrency transition
         (progress-based execution). ``None`` (the default) keeps the
         contention layer provably inert — the event stream is
         bit-identical to a contention-free build.

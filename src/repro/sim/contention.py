@@ -28,11 +28,15 @@ Execution model
 Orchestrator executions become *progress-based* when a model is attached
 (see ``Orchestrator``): each running execution tracks remaining work, and
 every concurrency transition on the worker (an execution starting or
-finishing, a crash, a straggler-window boundary) settles accrued progress
-at the old rate and reschedules the completion event. Straggler
-``exec_multiplier`` windows (:mod:`repro.sim.faults`) multiply into the
-same rate, so a mid-execution window edge changes the remaining wall time
-exactly instead of being ignored.
+finishing, a straggler-window boundary) settles accrued progress at the
+old rate and gives the execution a new completion key ``(time, seq)``.
+The keys live in the executions' ledgers; the engine heap holds one
+completion event per worker, queued under the earliest key, so a
+transition costs one heap push however many executions it retimes. A
+crash cancels that one event. Straggler ``exec_multiplier`` windows
+(:mod:`repro.sim.faults`) multiply into the same rate, so a
+mid-execution window edge changes the remaining wall time exactly
+instead of being ignored.
 
 Determinism contract
 --------------------
@@ -114,6 +118,11 @@ class ContentionModel:
             if index >= len(factors):
                 index = len(factors) - 1
             return factors[index]
+        return self.curve(busy)
+
+    def curve(self, busy: int) -> float:
+        """The default curve at ``busy``: the slowdown of every function
+        that ``table`` does not name, so one call prices a whole worker."""
         if busy <= self.cores:
             return 1.0
         return (busy / self.cores) ** self.alpha

@@ -59,9 +59,10 @@ class Event:
     Events are created via :meth:`Simulator.schedule` / :meth:`Simulator.at`
     and may be cancelled before they fire. Cancelled events stay in the heap
     but are skipped when popped (lazy deletion), which keeps cancellation
-    O(1). :meth:`Simulator.reschedule` moves a queued event the same way:
-    the old heap entry stays behind as a *stale* entry (its stored sequence
-    number no longer matches ``event.seq``) and is skipped on pop.
+    O(1). :meth:`Simulator.reschedule` and :meth:`Simulator.queue_at`
+    move a queued event the same way: the old heap entry stays behind as
+    a *stale* entry (its stored sequence number no longer matches
+    ``event.seq``) and is skipped on pop.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "real",
@@ -241,8 +242,6 @@ class Simulator:
     def reschedule(self, event: Event, time: float) -> None:
         """Move a queued (uncancelled, unfired) event to absolute ``time``.
 
-        The rate-varying execution model (contention, straggler windows)
-        uses this to push a completion event around as its rate changes.
         Heap entries are immutable ``(time, seq, Event)`` tuples, so the
         event cannot be moved in place: a fresh entry is pushed with a
         fresh sequence number — burning one seq, exactly like a
@@ -260,6 +259,55 @@ class Simulator:
         event.time = time
         event.seq = next(self._seq)
         heapq.heappush(self._heap, (time, event.seq, event))
+
+    def draw_seq(self, time: float) -> int:
+        """Draw the next sequence number for a key at ``time`` without
+        queueing anything.
+
+        A caller that keeps event keys outside the heap (the
+        orchestrator's per-worker completion head, which queues only
+        the earliest of a worker's running executions) draws each key
+        at the moment a :meth:`schedule`/:meth:`reschedule` call would
+        have, so queueing it later with :meth:`queue_at` ties exactly
+        as that call would have. ``time`` is checked as :meth:`at`
+        checks it: a key the replay could never reach fails here, even
+        if it is never queued.
+        """
+        if not self._now <= time < inf:
+            raise ValueError(self._bad_time("draw a key", time))
+        return next(self._seq)
+
+    def queue_at(self, event: Event, time: float, seq: int,
+                 args: Optional[tuple] = None, push: bool = True) -> None:
+        """Queue ``event`` under the key ``(time, seq)`` drawn earlier
+        with :meth:`draw_seq`, replacing its arguments when ``args`` is
+        given.
+
+        The event may be queued already (it moves, and any entry under
+        its old key turns stale, as with :meth:`reschedule`) or may have
+        fired (it is re-attached and counts as live again).
+        ``push=False`` means the heap still holds an entry under exactly
+        this key, left there while the event was pointed elsewhere;
+        pointing the event back revives that entry, and pushing a second
+        one would make the event fire twice.
+        """
+        if event.cancelled:
+            raise ValueError("cannot queue a cancelled event")
+        if not self._now <= time < inf:
+            raise ValueError(self._bad_time("queue", time))
+        if event._sim is None:
+            event._sim = self
+            self._live += 1
+            if event.real:
+                self._real += 1
+        elif event._sim is not self:
+            raise ValueError("event is queued on another simulator")
+        event.time = time
+        event.seq = seq
+        if args is not None:
+            event.args = args
+        if push:
+            heapq.heappush(self._heap, (time, seq, event))
 
     def next_time(self) -> float:
         """Earliest time at which anything queued may fire: the heap
@@ -345,8 +393,8 @@ class Simulator:
                     # Counters were adjusted when cancel() ran.
                     continue
                 if entry[1] != event.seq:
-                    # Stale entry left behind by reschedule(): the event
-                    # lives on under its newer (time, seq) entry.
+                    # Stale entry left behind by reschedule()/queue_at():
+                    # the event lives on under its newer (time, seq) key.
                     continue
                 if until is not None and event.time > until:
                     # Put it back: the caller may resume later. The event
@@ -435,9 +483,9 @@ class Simulator:
     def _scan_counts(self) -> tuple:
         """(live, real) recomputed by scanning — test/debug cross-check.
 
-        Stale entries left behind by :meth:`reschedule` are excluded:
-        like cancelled entries they occupy heap slots but no longer
-        represent a queued event.
+        Stale entries left behind by :meth:`reschedule` and
+        :meth:`queue_at` are excluded: like cancelled entries they
+        occupy heap slots but no longer represent a queued event.
         """
         live = sum(1 for _, s, e in self._heap
                    if not e.cancelled and s == e.seq)

@@ -13,6 +13,7 @@ paper assumes volatile execution times, §2.6) and are carried on each
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,11 @@ class FunctionSpec:
     def __post_init__(self) -> None:
         if self.memory_mb <= 0:
             raise ValueError(f"{self.name}: memory_mb must be positive")
-        if self.cold_start_ms < 0:
-            raise ValueError(f"{self.name}: cold_start_ms must be >= 0")
+        # One chained compare rejects a negative, infinite or NaN cost
+        # (NaN fails every comparison, ``< 0`` included).
+        if not 0 <= self.cold_start_ms < inf:
+            raise ValueError(f"{self.name}: cold_start_ms must be finite "
+                             f"and >= 0, got {self.cold_start_ms}")
 
     # Layer-level accessors used by RainbowCake -------------------------
 

@@ -32,7 +32,7 @@ from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.sim.config import SimulationConfig
 from repro.sim.container import Container, ContainerState
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.eventlog import EventKind, EventLog
 from repro.sim.faults import CrashSpec
 from repro.sim.function import FunctionSpec
@@ -88,25 +88,33 @@ class _ExecProgress:
     """Progress ledger for one running execution (progress mode).
 
     ``remaining_ms`` is the work left in trace-time units as of
-    ``settled_ms``; the completion event sits at ``settled_ms +
-    remaining_ms * slowdown`` and is rescheduled whenever the rate
-    changes. Settlement is deferred while the rate is constant — progress
-    accrues linearly, so settling only at rate changes is exact and
-    keeps single-rate executions free of float re-derivations.
+    ``settled_ms``; the execution completes at ``settled_ms +
+    remaining_ms * slowdown``. ``key`` is that time with the engine
+    sequence number drawn when it was last set, at the point a
+    per-execution completion event would have been (re)scheduled. The
+    key lives here, not in the heap: only the worker's earliest key is
+    queued, on the worker's one completion event (see
+    ``Orchestrator._place_head``). ``queued`` records whether the heap
+    already holds an entry under this key, so the event can return to it
+    without pushing a duplicate. Settlement is deferred while the rate is
+    constant — progress accrues linearly, so settling only at rate
+    changes is exact and keeps single-rate executions free of float
+    re-derivations.
     """
 
-    __slots__ = ("request", "container", "event", "remaining_ms",
-                 "slowdown", "settled_ms", "slowed")
+    __slots__ = ("request", "container", "remaining_ms", "slowdown",
+                 "settled_ms", "slowed", "key", "queued")
 
-    def __init__(self, request: Request, container: Container, event,
-                 remaining_ms: float, slowdown: float,
-                 settled_ms: float) -> None:
+    def __init__(self, request: Request, container: Container,
+                 slowdown: float, settled_ms: float, key: tuple,
+                 queued: bool) -> None:
         self.request = request
         self.container = container
-        self.event = event
-        self.remaining_ms = remaining_ms
+        self.remaining_ms = request.exec_ms
         self.slowdown = slowdown
         self.settled_ms = settled_ms
+        self.key = key
+        self.queued = queued
         #: Whether any rate other than exactly 1.0 ever applied — gates
         #: the EXEC_END slowdown annotation so inert models stay
         #: byte-identical to contention-free runs.
@@ -170,7 +178,13 @@ class Orchestrator:
         self._m_slowdown = None
         if metrics is not None:
             self._instrument(metrics)
-        self.specs: Dict[str, FunctionSpec] = {f.name: f for f in functions}
+        self.specs: Dict[str, FunctionSpec] = {}
+        for spec in functions:
+            if spec.name in self.specs:
+                raise ValueError(
+                    f"duplicate function name {spec.name!r}: each deployed "
+                    f"function needs its own name")
+            self.specs[spec.name] = spec
         self._usage = _ClusterUsage()
         self._used_mb_cache = 0.0
         #: The fault schedule, or None. Every fault-layer code path below
@@ -218,10 +232,19 @@ class Orchestrator:
         #: start order (dict insertion order is the deterministic
         #: iteration order for retiming).
         self._worker_execs: Dict[int, Dict[int, _ExecProgress]] = {}
+        #: worker_id -> the one completion event of a worker with running
+        #: executions, queued under its earliest ledger key.
+        self._heads: Dict[int, Event] = {}
+        #: Functions whose contention slowdown comes from the model's
+        #: table rather than its curve.
+        overrides = (self._contention.table
+                     if self._contention is not None else ())
+        self._overridden = frozenset(name for name, _ in overrides)
         #: worker_id -> armed straggler-window boundary event.
         self._rate_events: Dict[int, object] = {}
-        #: req_id -> in-flight execution event (fault layer only; lets a
-        #: crash cancel the completions of destroyed containers in O(1)).
+        #: req_id -> in-flight execution event (fault layer outside
+        #: progress mode; lets a crash cancel the completions of
+        #: destroyed containers in O(1)).
         self._exec_events: Dict[int, object] = {}
         #: container_id -> (ready event, bound waiter) for provisions and
         #: restores in flight (fault layer only).
@@ -1052,77 +1075,121 @@ class Orchestrator:
     # ==================================================================
     # Progress-based execution (contention / rate-varying stragglers)
 
-    def _slowdown(self, worker_id: int, func: str, busy: int,
+    def _slowdown(self, worker_id: int, func: Optional[str], busy: int,
                   now: float) -> float:
         """Execution-rate factor for one execution of ``func`` sharing
-        its worker with ``busy`` total in-flight executions at ``now``."""
-        if self._contention is not None:
-            factor = self._contention.slowdown(busy, func)
-        else:
+        its worker with ``busy`` total in-flight executions at ``now``.
+        ``func=None`` prices every function the contention table does not
+        name: the straggler multiplier is per worker and the curve is the
+        same for all of them."""
+        contention = self._contention
+        if contention is None:
             factor = 1.0
+        elif func in self._overridden:
+            factor = contention.slowdown(busy, func)
+        else:
+            factor = contention.curve(busy)
         if self._faults is not None:
             factor = factor * self._faults.exec_multiplier(worker_id, now)
         return factor
 
     def _begin_progress_exec(self, container: Container,
                              request: Request) -> None:
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         worker_id = container.worker.worker_id
         table = self._worker_execs.setdefault(worker_id, {})
         busy = len(table) + 1
         # Settle the neighbours first: their rates change the instant
         # this execution joins the worker.
-        self._retime_worker(worker_id, busy, now)
+        head = self._retime_worker(worker_id, table, busy, now)
         slowdown = self._slowdown(worker_id, request.func, busy, now)
-        event = self.sim.schedule(request.exec_ms * slowdown,
-                                  self._on_complete, container, request)
-        state = _ExecProgress(request, container, event,
-                              request.exec_ms, slowdown, now)
+        time = now + request.exec_ms * slowdown
+        if head is None:
+            # The worker's first execution: its key is the one ``at``
+            # draws for the worker's completion event.
+            event = sim.at(time, self._on_complete, container, request)
+            self._heads[worker_id] = event
+            state = _ExecProgress(request, container, slowdown, now,
+                                  (time, event.seq), True)
+        else:
+            state = _ExecProgress(request, container, slowdown, now,
+                                  (time, sim.draw_seq(time)), False)
+            self._place_head(worker_id,
+                             state if state.key < head.key else head)
         table[request.req_id] = state
         self._execs[request.req_id] = state
         if self._faults is not None:
-            self._exec_events[request.req_id] = event
             self._arm_rate_boundary(worker_id)
 
-    def _retime_worker(self, worker_id: int, busy: int,
-                       now: float) -> None:
-        """Settle progress and reschedule the completion of every running
-        execution on ``worker_id`` under its new concurrency ``busy``."""
-        table = self._worker_execs.get(worker_id)
+    def _retime_worker(self, worker_id: int,
+                       table: Dict[int, _ExecProgress], busy: int,
+                       now: float) -> Optional[_ExecProgress]:
+        """Settle progress and re-key the completion of every running
+        execution in ``table`` under the worker's new concurrency
+        ``busy``. Returns the ledger with the earliest key, or None for
+        an idle worker; the caller moves the completion event there."""
         if not table:
-            return
+            return None
+        rate = self._slowdown(worker_id, None, busy, now)
+        overridden = self._overridden
+        draw_seq = self.sim.draw_seq
+        head = None
         for state in table.values():
-            slowdown = self._slowdown(worker_id, state.request.func,
-                                      busy, now)
-            if slowdown == state.slowdown:
-                continue  # rate unchanged: settlement can stay deferred
-            elapsed = now - state.settled_ms
-            if elapsed > 0.0:
-                remaining = state.remaining_ms - elapsed / state.slowdown
-                state.remaining_ms = remaining if remaining > 0.0 else 0.0
-            state.settled_ms = now
-            state.slowdown = slowdown
-            if slowdown != 1.0:
-                state.slowed = True
-            self.sim.reschedule(state.event,
-                                now + state.remaining_ms * slowdown)
+            if overridden and state.request.func in overridden:
+                slowdown = self._slowdown(worker_id, state.request.func,
+                                          busy, now)
+            else:
+                slowdown = rate
+            # An unchanged rate keeps settlement deferred and the key.
+            if slowdown != state.slowdown:
+                elapsed = now - state.settled_ms
+                if elapsed > 0.0:
+                    remaining = state.remaining_ms - elapsed / state.slowdown
+                    state.remaining_ms = remaining if remaining > 0.0 else 0.0
+                state.settled_ms = now
+                state.slowdown = slowdown
+                if slowdown != 1.0:
+                    state.slowed = True
+                time = now + state.remaining_ms * slowdown
+                state.key = (time, draw_seq(time))
+                state.queued = False
+            if head is None or state.key < head.key:
+                head = state
+        return head
+
+    def _place_head(self, worker_id: int, state: _ExecProgress) -> None:
+        """Queue ``worker_id``'s completion event under ``state``'s key,
+        naming its execution. An entry under that key may still sit in
+        the heap from an earlier turn as the head; it is revived rather
+        than pushed again, or the completion would fire twice."""
+        time, seq = state.key
+        self.sim.queue_at(self._heads[worker_id], time, seq,
+                          (state.container, state.request),
+                          push=not state.queued)
+        state.queued = True
 
     def _finish_progress_exec(self, request: Request,
                               container: Container) -> Optional[_ExecProgress]:
-        """Retire a completed execution's ledger and retime its
-        (now less-contended) neighbours."""
+        """Retire a completed execution's ledger, retime its (now
+        less-contended) neighbours and move the completion event to the
+        earliest of them."""
         state = self._execs.pop(request.req_id, None)
         if state is None:  # pragma: no cover - defensive
             return None
         worker = container.worker
         if worker is not None:
-            table = self._worker_execs.get(worker.worker_id)
+            worker_id = worker.worker_id
+            table = self._worker_execs.get(worker_id)
             if table is not None:
                 table.pop(request.req_id, None)
-                self._retime_worker(worker.worker_id, len(table),
-                                    self.sim.now)
-                if not table:
-                    self._disarm_rate_boundary(worker.worker_id)
+                head = self._retime_worker(worker_id, table, len(table),
+                                           self.sim.now)
+                if head is None:
+                    del self._heads[worker_id]
+                    self._disarm_rate_boundary(worker_id)
+                else:
+                    self._place_head(worker_id, head)
         return state
 
     def _arm_rate_boundary(self, worker_id: int) -> None:
@@ -1142,7 +1209,8 @@ class Orchestrator:
         self._rate_events.pop(worker_id, None)
         table = self._worker_execs.get(worker_id)
         if table:
-            self._retime_worker(worker_id, len(table), self.sim.now)
+            self._place_head(worker_id, self._retime_worker(
+                worker_id, table, len(table), self.sim.now))
             self._arm_rate_boundary(worker_id)
 
     def _disarm_rate_boundary(self, worker_id: int) -> None:
@@ -1151,12 +1219,15 @@ class Orchestrator:
             event.cancel()
 
     def _drop_progress_worker(self, worker_id: int) -> None:
-        """Forget progress state for a crashed worker (the completion
-        events themselves are cancelled through ``_exec_events``)."""
+        """Forget progress state for a crashed worker and cancel its
+        completion event."""
         table = self._worker_execs.pop(worker_id, None)
         if table:
             for req_id in table:
                 self._execs.pop(req_id, None)
+        head = self._heads.pop(worker_id, None)
+        if head is not None:
+            head.cancel()
         self._disarm_rate_boundary(worker_id)
 
     # ==================================================================

@@ -21,7 +21,9 @@ While installed on an orchestrator it
 * every ``check_interval`` recorded events — and once more at run end —
   cross-checks each worker's incremental indexes against a full scan
   (:meth:`Worker.check_integrity`), the engine's live/real event
-  counters against a heap scan, and the heap invariant itself.
+  counters against a heap scan, the heap invariant itself, and, in
+  progress mode, each busy worker's single completion event against
+  its executions' ledger keys.
 
 Outside probe windows the barrier costs one truthiness test per
 attribute write, so a sanitized run executes the *same* simulation: the
@@ -264,7 +266,8 @@ class SimSanitizer:
     # -- consistency checks --------------------------------------------
 
     def run_checks(self, orchestrator: Orchestrator) -> None:
-        """Worker-index, engine-counter and heap-invariant assertions."""
+        """Worker-index, engine-counter, heap-invariant and
+        completion-head assertions."""
         self.checks_run += 1
         for worker in orchestrator.workers():
             try:
@@ -287,6 +290,36 @@ class SimSanitizer:
                 raise SanitizerError(
                     f"engine heap invariant violated at index {i}: "
                     f"{heap[i][:2]} < parent {heap[parent][:2]}")
+        self._check_completion_heads(orchestrator)
+
+    @staticmethod
+    def _check_completion_heads(orchestrator: Orchestrator) -> None:
+        """Progress mode queues one completion event per busy worker: it
+        must be live, keyed at the earliest of the worker's ledger keys,
+        and name that ledger's execution. (A live event with no heap
+        entry under its key already fails the counter check.)"""
+        busy = [(worker_id, table) for worker_id, table
+                in orchestrator._worker_execs.items() if table]
+        if not busy:
+            return
+        sim = orchestrator.sim
+        for worker_id, table in busy:
+            head = orchestrator._heads.get(worker_id)
+            if head is None or head.cancelled or head._sim is not sim:
+                raise SanitizerError(
+                    f"worker {worker_id} runs {len(table)} executions "
+                    f"but its completion event is not queued")
+            first = min(table.values(), key=lambda state: state.key)
+            key = (head.time, head.seq)
+            if key != first.key:
+                raise SanitizerError(
+                    f"worker {worker_id}'s completion event is keyed "
+                    f"{key}, not at its earliest execution's {first.key}")
+            if head.args[1] is not first.request:
+                raise SanitizerError(
+                    f"worker {worker_id}'s completion event names request "
+                    f"{head.args[1].req_id}, not request "
+                    f"{first.request.req_id} whose key it carries")
 
     # -- reporting -----------------------------------------------------
 

@@ -18,6 +18,11 @@ class TestFunctionSpecValidation:
         with pytest.raises(ValueError):
             FunctionSpec("f", memory_mb=1.0, cold_start_ms=-1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_cold_start(self, bad):
+        with pytest.raises(ValueError, match="cold_start_ms must be finite"):
+            FunctionSpec("f", memory_mb=1.0, cold_start_ms=bad)
+
     def test_zero_cold_start_allowed(self):
         spec = FunctionSpec("f", memory_mb=1.0, cold_start_ms=0.0)
         assert spec.cold_start_ms == 0.0

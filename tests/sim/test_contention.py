@@ -267,4 +267,5 @@ class TestCrashInteraction:
         # Re-dispatched at 1100 on worker 1: cold 500, runs solo.
         assert (req.start_ms, req.end_ms) == (1_600.0, 2_600.0)
         assert not orch._execs          # ledgers fully retired
+        assert not orch._heads          # crashed worker's head cancelled
         assert not orch._rate_events    # no armed boundaries leak

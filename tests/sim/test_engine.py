@@ -168,3 +168,79 @@ class TestDeterminism:
         sim.run()
         assert fired == sorted(fired)
         assert len(fired) == len(delays)
+
+
+class TestKeyedQueue:
+    """``draw_seq``/``queue_at``: keys drawn now, queued later."""
+
+    def test_pops_in_the_order_reschedule_would(self):
+        def replay(keyed):
+            sim = Simulator()
+            fired = []
+            events = [sim.schedule(10.0, fired.append, label)
+                      for label in "abc"]
+            sim.schedule(4.0, fired.append, "x")
+            # Move a and b to the same time as a later event y; the key
+            # is drawn where reschedule would draw it, queued after y.
+            keys = []
+            for event in events[:2]:
+                if keyed:
+                    keys.append((event, 6.0, sim.draw_seq(6.0)))
+                else:
+                    sim.reschedule(event, 6.0)
+            sim.schedule(6.0, fired.append, "y")
+            for event, time, seq in keys:
+                sim.queue_at(event, time, seq)
+            sim.run()
+            return fired
+
+        assert replay(keyed=True) == replay(keyed=False) \
+            == ["x", "a", "b", "y", "c"]
+
+    def test_reattaching_a_fired_event_keeps_counters_exact(self):
+        sim = Simulator()
+        fired = []
+
+        def again(label):
+            fired.append((sim.now, label))
+            if len(fired) < 3:
+                sim.queue_at(event, sim.now + 5.0,
+                             sim.draw_seq(sim.now + 5.0), (label * 2,))
+                assert sim._scan_counts() == (sim._live, sim._real) == (1, 1)
+
+        event = sim.at(1.0, again, "a")
+        sim.run()
+        assert fired == [(1.0, "a"), (6.0, "aa"), (11.0, "aaaa")]
+        assert sim._scan_counts() == (sim._live, sim._real) == (0, 0)
+
+    def test_returning_to_a_queued_key_fires_once(self):
+        sim = Simulator()
+        fired = []
+        event = sim.at(10.0, fired.append, "e")
+        first = (event.time, event.seq)
+        sim.queue_at(event, 5.0, sim.draw_seq(5.0))   # moves away
+        sim.queue_at(event, *first, push=False)       # and back
+        assert sim._scan_counts() == (sim._live, sim._real) == (1, 1)
+        sim.run()
+        assert fired == ["e"] and sim.now == 10.0
+
+    @pytest.mark.parametrize("bad, message", [
+        (1.0, "before now"), (float("inf"), "non-finite"),
+        (float("nan"), "non-finite")])
+    def test_rejects_past_and_non_finite_times(self, bad, message):
+        sim = Simulator(start_time=5.0)
+        event = sim.at(7.0, lambda: None)
+        with pytest.raises(ValueError, match=message):
+            sim.draw_seq(bad)
+        with pytest.raises(ValueError, match=message):
+            sim.queue_at(event, bad, sim.draw_seq(8.0))
+
+    def test_rejects_cancelled_and_foreign_events(self):
+        sim = Simulator()
+        event = sim.at(1.0, lambda: None)
+        event.cancel()
+        with pytest.raises(ValueError, match="cancelled"):
+            sim.queue_at(event, 2.0, sim.draw_seq(2.0))
+        foreign = Simulator().at(1.0, lambda: None)
+        with pytest.raises(ValueError, match="another simulator"):
+            sim.queue_at(foreign, 2.0, sim.draw_seq(2.0))

@@ -322,12 +322,13 @@ def test_contention_conservation_invariants(case_idx, policy_name):
     for sample in result.memory_samples:
         assert sample.used_mb <= capacity_mb + 1e-6
 
-    # Progress ledgers and rate-boundary events fully retired, worker
-    # indexes self-consistent, liveness counters exact despite every
-    # reschedule leaving a stale heap entry behind.
+    # Progress ledgers, completion heads and rate-boundary events fully
+    # retired, worker indexes self-consistent, liveness counters exact
+    # despite every head move leaving a stale heap entry behind.
     assert not orchestrator._execs
     assert not orchestrator._worker_execs or \
         all(not t for t in orchestrator._worker_execs.values())
+    assert not orchestrator._heads
     assert not orchestrator._rate_events
     for worker in orchestrator.workers():
         assert worker.check_integrity()
@@ -339,8 +340,8 @@ def test_contention_conservation_invariants(case_idx, policy_name):
 @pytest.mark.parametrize("case_idx", range(N_SAMPLES))
 def test_contention_packed_replay_bit_identical(case_idx, policy_name):
     """Packed arrivals and the idle fast-forward replay contention runs
-    exactly: rescheduled completions are real heap events, so the
-    analytic skip can never jump over a retiming."""
+    exactly: each busy worker's completion event is a real heap event,
+    so the analytic skip can never jump over a retiming."""
     trace, config = CONTENTION_CASES[case_idx]
     outcomes = {}
     for label, workload_packed, fast_forward in (

@@ -71,6 +71,12 @@ class TestColdAndWarm:
         with pytest.raises(ValueError):
             Orchestrator([spec(mem=2000.0)], LRUPolicy(), config(mb=1000.0))
 
+    def test_duplicate_function_name_rejected(self):
+        """The last spec used to win silently."""
+        with pytest.raises(ValueError, match="duplicate function name 'b'"):
+            Orchestrator([spec("a"), spec("b"), spec("b", mem=200.0)],
+                         LRUPolicy(), config())
+
 
 class TestDelayedWarmStarts:
     def test_queue_only_waits_for_busy_container(self):

@@ -17,10 +17,14 @@ import pytest
 from repro.experiments.runner import run_one
 from repro.experiments.suites import policy_factories
 from repro.obs import DecisionAudit
+from repro.policies.lru import LRUPolicy
 from repro.sim.config import SimulationConfig
 from repro.sim.container import Container
+from repro.sim.contention import ContentionModel
 from repro.sim.eventlog import EventLog
+from repro.sim.function import FunctionSpec
 from repro.sim.orchestrator import Orchestrator
+from repro.sim.request import Request
 from repro.sim.sanitizer import (GUARDED_CLASSES, SanitizerError,
                                  SimSanitizer, _PATCH_STATE)
 from repro.sim.telemetry import TimeSeriesRecorder
@@ -226,6 +230,61 @@ def test_engine_counter_divergence_reported():
         with pytest.raises(SanitizerError) as excinfo:
             sanitizer.run_checks(orchestrator)
         assert "counters diverged" in str(excinfo.value)
+    finally:
+        sanitizer.uninstall(orchestrator)
+
+
+class _Stop(Exception):
+    """Ends a replay once the corrupted state has been checked."""
+
+
+def _corrupt_head(orchestrator, worker_id, how):
+    table = orchestrator._worker_execs[worker_id]
+    head = orchestrator._heads[worker_id]
+    other = next(state for state in table.values()
+                 if state.key != (head.time, head.seq))
+    if how == "cancelled":
+        head.cancel()
+    elif how == "key":
+        orchestrator.sim.queue_at(head, *other.key)
+    elif how == "entry":
+        # Moved without the push its never-queued key needs.
+        orchestrator.sim.queue_at(head, *other.key, push=False)
+    else:
+        head.args = (other.container, other.request)
+
+
+@pytest.mark.parametrize("how, message", [
+    ("cancelled", "not queued"), ("key", "not at its earliest"),
+    ("entry", "counters diverged"), ("args", "names request")])
+def test_completion_head_corruption_reported(how, message):
+    """Two executions share a core; once both run, the worker's single
+    completion event is corrupted one way and a sweep must name it."""
+    spec = FunctionSpec("f", memory_mb=100.0, cold_start_ms=50.0)
+    config = SimulationConfig(capacity_gb=1.0, threads_per_container=4,
+                              contention=ContentionModel(cores=1))
+    orchestrator = Orchestrator([spec], LRUPolicy(), config,
+                                event_log=EventLog())
+    sanitizer = SimSanitizer()
+    begin = orchestrator._begin_progress_exec
+
+    def begin_then_corrupt(container, request):
+        begin(container, request)
+        worker_id = container.worker.worker_id
+        if len(orchestrator._worker_execs[worker_id]) < 2:
+            return
+        sanitizer.run_checks(orchestrator)      # consistent so far
+        _corrupt_head(orchestrator, worker_id, how)
+        with pytest.raises(SanitizerError, match=message):
+            sanitizer.run_checks(orchestrator)
+        raise _Stop
+
+    orchestrator._begin_progress_exec = begin_then_corrupt
+    sanitizer.install(orchestrator)
+    try:
+        with pytest.raises(_Stop):
+            orchestrator.run([Request("f", 0.0, 300.0),
+                              Request("f", 100.0, 200.0)])
     finally:
         sanitizer.uninstall(orchestrator)
 
