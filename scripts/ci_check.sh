@@ -24,43 +24,38 @@ echo "== repro-lint (determinism / purity / FP-discipline) =="
 python -m repro.lint src/repro
 python -m repro.lint src/repro --format json > /dev/null
 
-echo "== repro-lint --deep (shard safety / transitive purity / units) =="
+echo "== repro-lint --deep (transitive purity / units) =="
 # Whole-program pass, gated on its own committed baseline
-# (lint-deep-baseline.json). Every cross-worker access must carry a
-# `# shard:` annotation or a reasoned baseline entry; the inventory is
-# written as a CI artifact for the sharded-engine work (ROADMAP item 2).
-python -m repro.lint --deep src/repro --shard-report shard-report.json
-python - <<'EOF'
-import json
-
-report = json.load(open("shard-report.json"))
-sites = report["sites"]
-cross = [s for s in sites if s["ownership"] == "cross-worker"]
-assert cross, "shard report is vacuous: no cross-worker sites at all"
-assert report["summary"]["unannotated_cross_worker"] == 0, \
-    "unannotated cross-worker accesses slipped past the lint gate"
-functions = {s["function"] for s in cross}
-for expected in ("Orchestrator._dispatch", "Orchestrator._sample_memory",
-                 "Worker._charge"):
-    assert any(f.endswith(expected) for f in functions), \
-        f"known cross-worker site missing from inventory: {expected}"
-print(f"shard inventory OK: {len(sites)} sites "
-      f"({len(cross)} cross-worker), placement + cluster-memory covered")
-EOF
+# (lint-deep-baseline.json).
+python -m repro.lint --deep src/repro
 
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
-echo "== bench goldens (simulated outputs of the four benchmark workloads) =="
-# Three replays per workload, no timing budget; bench/run.py exits
-# non-zero when any replay's digest differs from bench/goldens.json.
+echo "== bench counts (traced work counters of the four workloads) =="
+# One traced replay per workload, no timing budget. bench/run.py exits
+# non-zero when any plain or traced replay's digest differs from
+# bench/goldens.json; diff_counters.py then exits non-zero, printing a
+# `!` line per differing counter, when the deterministic per-layer
+# counts differ from the committed scripts/bench_counts.json. A change
+# that alters how much work a replay does updates that file in the same
+# commit. To regenerate it, write the four reports into a directory D
+# with the run.py line below (--out D/W.json), then
+#   python3 -c 'import json, sys; print(json.dumps({"schema":
+#     "bench/report/v1", "workloads": {w: {"layers": {"counts": json.load(
+#     open(f"{sys.argv[1]}/{w}.json"))["counts"], "times_s": {}}} for w in
+#     ("pressure", "backlog", "sparse", "observed")}}, indent=2,
+#     sort_keys=True))' D > scripts/bench_counts.json
+tmpdir="$(mktemp -d)"
+trap 'rm -rf "$tmpdir"' EXIT
 for workload in pressure backlog sparse observed; do
-    python3 bench/run.py --workload "$workload" --seconds 0 | tail -n 1
+    python3 bench/run.py --workload "$workload" --seconds 0 --trace 1 \
+        --out "$tmpdir/$workload.json" | tail -n 1
+    python3 bench/diff_counters.py scripts/bench_counts.json \
+        "$tmpdir/$workload.json"
 done
 
 echo "== parallel smoke sweep (--jobs 2 vs --jobs 1) =="
-tmpdir="$(mktemp -d)"
-trap 'rm -rf "$tmpdir"' EXIT
 common=(sweep --preset azure --requests 1500 --seed 3
         --policies TTL,FaasCache --capacities 2,4 --quiet)
 python -m repro.cli "${common[@]}" --jobs 2 --out "$tmpdir/parallel.md"
@@ -220,14 +215,3 @@ grep -q 'slowdown=' "$tmpdir/events-cont.jsonl" || {
     exit 1
 }
 echo "contention replay deterministic: classic/reference/fast-forward/sanitized"
-
-echo "== replay throughput smoke (ci-smoke vs committed baseline) =="
-# Gate on the committed trajectory point, both replay modes. The band
-# is two-sided: a large unexplained speedup means the committed
-# baseline went stale and stopped guarding anything. The fast-forward
-# run is one-sided — ff is a wash on the dense smoke trace, so only a
-# slowdown there is a bug.
-python -m repro.cli bench-throughput --scenarios ci-smoke \
-    --check BENCH_throughput.json --factor 1.5
-python -m repro.cli bench-throughput --scenarios ci-smoke --fast-forward \
-    --check BENCH_throughput.json --factor 1.5 --one-sided

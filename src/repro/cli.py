@@ -24,7 +24,6 @@ result cache::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -752,83 +751,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_throughput(args: argparse.Namespace) -> int:
-    """Time single-run replays; optionally gate on a committed baseline."""
-    from repro.experiments import throughput
-
-    names = args.scenarios.split(",") if args.scenarios else None
-    try:
-        if names:
-            for name in names:
-                throughput.scenario_by_name(name)  # validate up front
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-
-    rows: List[list] = []
-
-    def progress(record):
-        rows.append(record.row())
-        print(f"[bench] {record.scenario}/{record.policy} "
-              f"({record.impl}): {record.wall_s:.2f}s, "
-              f"{record.events_per_sec:,.0f} events/s", file=sys.stderr)
-
-    payload = throughput.run_suite(
-        names, reference=args.reference,
-        fast_forward=True if args.fast_forward else None,
-        progress=progress)
-    print(render_table(
-        ["scenario", "policy", "impl", "wall_s", "events/s", "req/s",
-         "cold", "evictions"],
-        rows, title="replay throughput"))
-    # Load baselines before --out may overwrite the same file.
-    compare_baseline = (throughput.load_payload(args.compare)
-                        if args.compare else None)
-    check_baseline = (throughput.load_payload(args.check)
-                      if args.check else None)
-    if args.out:
-        previous = None
-        if os.path.exists(args.out):
-            try:
-                previous = throughput.load_payload(args.out)
-            except (ValueError, OSError):
-                previous = None  # corrupt/old baseline: start history fresh
-        throughput.append_history(payload, previous)
-        throughput.save_payload(payload, args.out)
-        print(f"wrote {args.out} "
-              f"({len(payload.get('history', ()))} history entries)")
-    status = 0
-    if compare_baseline is not None:
-        baseline = compare_baseline
-        delta_rows = throughput.compare_payloads(payload, baseline)
-        print(render_table(
-            ["scenario", "policy", "baseline ev/s", "current ev/s",
-             "delta"],
-            delta_rows, title=f"throughput vs {args.compare}"))
-        failures = throughput.check_regression(
-            payload, baseline, factor=args.factor,
-            two_sided=not args.one_sided)
-        if failures:
-            print(f"throughput regression vs {args.compare}:",
-                  file=sys.stderr)
-            for failure in failures:
-                print(f"  {failure}", file=sys.stderr)
-            status = 1
-    if check_baseline is not None:
-        baseline = check_baseline
-        failures = throughput.check_regression(
-            payload, baseline, factor=args.factor,
-            two_sided=not args.one_sided)
-        if failures:
-            print(f"throughput regression vs {args.check} "
-                  f"(outside the {args.factor:g}x band):", file=sys.stderr)
-            for failure in failures:
-                print(f"  {failure}", file=sys.stderr)
-            return 1
-        print(f"throughput within {args.factor:g}x of {args.check}")
-    return status
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="cidre-sim",
@@ -1039,36 +961,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_fault_args(sweep)
     _add_contention_args(sweep)
     sweep.set_defaults(func=cmd_sweep)
-
-    bench = sub.add_parser(
-        "bench-throughput",
-        help="time single-run replay throughput (events/sec)")
-    bench.add_argument("--scenarios", default=None,
-                       help="comma-separated scenario names "
-                            "(default: the full suite)")
-    bench.add_argument("--reference", action="store_true",
-                       help="also time the pre-index reference "
-                            "implementation of every cell")
-    bench.add_argument("--out", default=None,
-                       help="write the JSON payload here "
-                            "(BENCH_throughput.json format)")
-    bench.add_argument("--fast-forward", action="store_true",
-                       help="force fast_forward=True on every scenario "
-                            "(indexed cells only; reference cells always "
-                            "run classic)")
-    bench.add_argument("--compare", default=None,
-                       help="print per-cell deltas vs this baseline JSON "
-                            "and exit non-zero on regression")
-    bench.add_argument("--check", default=None,
-                       help="fail if events/sec leaves the --factor band "
-                            "around this baseline JSON")
-    bench.add_argument("--factor", type=float, default=2.0,
-                       help="allowed throughput ratio vs the baseline "
-                            "(default 2.0)")
-    bench.add_argument("--one-sided", action="store_true",
-                       help="only fail on slowdowns; skip the "
-                            "faster-than-baseline (stale baseline) check")
-    bench.set_defaults(func=cmd_bench_throughput)
 
     lint = sub.add_parser(
         "lint", help="static determinism/purity/FP-discipline analysis "

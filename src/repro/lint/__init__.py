@@ -12,14 +12,14 @@ checkable rules:
 * ``API0xx`` — unit hygiene (``_ms`` vs ``_s``, ``_mb`` vs ``_gb``).
 
 Under ``--deep`` the whole-program layer (:mod:`repro.lint.deep`)
-additionally runs shard-safety (``SHD0xx``), transitive observer
-purity (``PUR003``) and cross-function dimension inference
-(``API002``) over a project-wide symbol table and call graph.
+additionally runs transitive observer purity (``PUR003``) and
+cross-function dimension inference (``API002``) over a project-wide
+symbol table and call graph.
 
 Run it with ``python -m repro.lint [paths]``, the ``repro-lint``
 console script, or ``cidre-sim lint``. See
 ``docs/ARCHITECTURE.md`` ("Static analysis and the sim-sanitizer" and
-"Whole-program analysis and shard safety").
+"Whole-program analysis").
 """
 
 from repro.lint.engine import (LintReport, lint_paths, lint_source,

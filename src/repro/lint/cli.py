@@ -9,10 +9,8 @@ Two engines sit behind the one front end:
 
 * the classic file-local rules (default) gated on
   ``lint-baseline.json``;
-* the whole-program analyses (``--deep``: shard safety, transitive
-  purity, dimension inference) gated on ``lint-deep-baseline.json``,
-  optionally emitting the ``shard-report.json`` inventory via
-  ``--shard-report``.
+* the whole-program analyses (``--deep``: transitive purity,
+  dimension inference) gated on ``lint-deep-baseline.json``.
 
 ``--changed [REF]`` restricts either engine to files differing from a
 git ref (default ``HEAD``) — the fast pre-commit path. ``--format
@@ -64,16 +62,13 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="comma-separated rule codes to run (default: all)")
     parser.add_argument(
         "--rules", action="store_true",
-        help="print the rule catalogue and exit")
+        help="print the rule catalogue (only the whole-program rules "
+             "with --deep) and exit")
     parser.add_argument(
         "--deep", action="store_true",
-        help="run the whole-program analyses (shard safety SHD0xx, "
-             "transitive purity PUR003, dimension inference API002) "
-             "instead of the file-local rules")
-    parser.add_argument(
-        "--shard-report", metavar="FILE", default=None,
-        help="with --deep: write the machine-readable shard-safety "
-             "site inventory (shard-report.json) to FILE")
+        help="run the whole-program analyses (transitive purity "
+             "PUR003, dimension inference API002) instead of the "
+             "file-local rules")
     parser.add_argument(
         "--changed", metavar="REF", nargs="?", const="HEAD",
         default=None,
@@ -82,9 +77,9 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
              "files")
 
 
-def _print_rules() -> None:
+def _print_rules(deep_only: bool) -> None:
     from repro.lint.deep import deep_rules
-    for rule in all_rules():
+    for rule in () if deep_only else all_rules():
         scopes = ", ".join(rule.scopes) if rule.scopes else "everywhere"
         print(f"{rule.code} [{rule.severity}] {rule.name}  ({scopes})")
         print(f"    {rule.rationale}")
@@ -161,13 +156,8 @@ def _print_github(findings: List[Finding]) -> None:
 def run_lint(args: argparse.Namespace) -> int:
     """Execute a lint run described by parsed ``args``."""
     if args.rules:
-        _print_rules()
+        _print_rules(deep_only=args.deep)
         return 0
-
-    if args.shard_report and not args.deep:
-        print("repro-lint: --shard-report requires --deep",
-              file=sys.stderr)
-        return 2
 
     select = None
     if args.select:
@@ -211,20 +201,15 @@ def run_lint(args: argparse.Namespace) -> int:
                   f"{exc}", file=sys.stderr)
             return 2
 
-    shard = None
     try:
         if args.deep:
-            report, shard = deep_lint_paths(paths, baseline=baseline,
-                                            select=select)
+            report = deep_lint_paths(paths, baseline=baseline,
+                                     select=select)
         else:
             report = lint_paths(paths, baseline=baseline, select=select)
     except FileNotFoundError as exc:
         print(f"repro-lint: {exc}", file=sys.stderr)
         return 2
-
-    if args.shard_report and shard is not None:
-        Path(args.shard_report).write_text(
-            json.dumps(shard, indent=2) + "\n")
 
     if args.update_baseline:
         target = args.baseline or baseline_path or default_name
@@ -242,10 +227,7 @@ def run_lint(args: argparse.Namespace) -> int:
         return 0
 
     if args.format == "json":
-        payload = report.to_dict()
-        if shard is not None:
-            payload["shard"] = shard["summary"]
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(report.to_dict(), indent=2))
     elif args.format == "github":
         _print_github(report.findings)
         print(("FAIL: " if report.findings else "OK: ")
@@ -261,7 +243,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="repro-lint",
         description="AST-based determinism/purity/FP-discipline linter "
                     "for the CIDRE reproduction, with whole-program "
-                    "shard-safety analysis under --deep.")
+                    "purity and unit analyses under --deep.")
     add_lint_arguments(parser)
     args = parser.parse_args(argv)
     return run_lint(args)

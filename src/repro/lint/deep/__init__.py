@@ -1,11 +1,9 @@
 """Whole-program analyses for repro-lint (``repro-lint --deep``).
 
 The classic engine lints one file at a time; this package indexes the
-entire ``repro`` package (symbol table + call graph) and runs the three
+entire ``repro`` package (symbol table + call graph) and runs the two
 interprocedural analyses on it:
 
-* :mod:`repro.lint.deep.shard`  — SHD001/SHD002 shard-safety and the
-  ``shard-report.json`` inventory feeding ROADMAP item 2;
 * :mod:`repro.lint.deep.purity` — PUR003 transitive observer purity;
 * :mod:`repro.lint.deep.units`  — API002 cross-function dimension
   inference.
@@ -35,7 +33,6 @@ from repro.lint.findings import Finding
 from repro.lint.rules import Rule
 from repro.lint.deep.callgraph import CallGraph
 from repro.lint.deep.purity import PURITY_SCOPES, purity_findings
-from repro.lint.deep.shard import SHARD_SCOPES, ShardAnalysis
 from repro.lint.deep.symbols import ProjectIndex, find_package_root
 from repro.lint.deep.units import units_findings
 
@@ -47,20 +44,6 @@ DEEP_BASELINE_FILENAME = "lint-deep-baseline.json"
 #: subclasses — they need the whole project, not one tree — but their
 #: metadata lives in the same format).
 DEEP_RULES = (
-    Rule(code="SHD001", name="unannotated-cross-worker",
-         severity="error", scopes=SHARD_SCOPES,
-         rationale="Sharding the cluster along worker boundaries "
-                   "(ROADMAP item 2) must serialize every cross-worker "
-                   "access through the merge protocol; an undeclared "
-                   "one is a silent shard-consistency bug. Annotate "
-                   "intentional sites with `# shard: cross-worker "
-                   "<reason>`."),
-    Rule(code="SHD002", name="stale-shard-annotation",
-         severity="warning", scopes=SHARD_SCOPES,
-         rationale="A `# shard:` annotation that no longer matches a "
-                   "pool or channel access (or disagrees with the "
-                   "computed ownership) misdocuments the merge-"
-                   "protocol work-list."),
     Rule(code="PUR003", name="transitive-observer-purity",
          severity="error", scopes=PURITY_SCOPES,
          rationale="A probe callback that passes sim-owned state to a "
@@ -115,31 +98,26 @@ def build_project(paths: Sequence[Union[str, Path]]
     return project, files
 
 
-def deep_findings(project: ProjectIndex
-                  ) -> Tuple[List[Finding], Dict]:
-    """All deep findings plus the shard-report payload."""
+def deep_findings(project: ProjectIndex) -> List[Finding]:
+    """All deep findings, sorted by location."""
     graph = CallGraph.build(project)
-    shard = ShardAnalysis(project).run()
-    findings = list(shard.findings)
-    findings.extend(purity_findings(graph))
-    findings.extend(units_findings(graph))
+    findings = purity_findings(graph) + units_findings(graph)
     findings.sort(key=Finding.sort_key)
-    return findings, shard.report(root="src/repro")
+    return findings
 
 
 def deep_lint_paths(paths: Sequence[Union[str, Path]],
                     baseline: Optional[Sequence[dict]] = None,
                     select: Optional[Tuple[str, ...]] = None
-                    ) -> Tuple[LintReport, Dict]:
+                    ) -> LintReport:
     """Run the deep analyses for ``paths``.
 
-    Returns ``(report, shard_report)``. The shard report always covers
-    the whole project — it is an inventory, not a diagnostic — while
-    the report's findings are filtered to the requested files.
+    The whole project is analysed; the report's findings are filtered
+    to the requested files.
     """
     project, files = build_project(paths)
     requested = {relpath_of(f) for f in files}
-    all_findings, shard = deep_findings(project)
+    all_findings = deep_findings(project)
 
     report = LintReport()
     report.files = len(files)
@@ -178,7 +156,7 @@ def deep_lint_paths(paths: Sequence[Union[str, Path]],
                                  enumerate(baseline) if i not in matched]
 
     report.findings = sorted(kept, key=Finding.sort_key)
-    return report, shard
+    return report
 
 
 def _module_for(project: ProjectIndex, relpath: str):

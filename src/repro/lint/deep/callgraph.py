@@ -2,7 +2,7 @@
 
 The deep analyses need to follow calls across files: transitive purity
 walks caller -> callee mutation summaries, dimension inference binds
-argument units to callee parameters, and shard safety must know what
+argument units to callee parameters, and both must know what
 ``self.priority(...)`` means inside ``CIPEvictionMixin`` (answer: the
 override in the concrete policy, via the C3 MRO).
 
@@ -34,10 +34,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.lint.deep.symbols import (
-    Access,
     ClassInfo,
     FunctionInfo,
     ProjectIndex,
@@ -82,7 +81,6 @@ class CallGraph:
         self.project = project
         self.calls: Dict[str, List[CallSite]] = {}
         self.unresolved: Dict[str, List[UnresolvedCall]] = {}
-        self._callers: Optional[Dict[str, List[CallSite]]] = None
 
     # -- construction ---------------------------------------------------
 
@@ -221,15 +219,6 @@ class CallGraph:
     def unresolved_in(self, func: FunctionInfo) -> List[UnresolvedCall]:
         return self.unresolved.get(func.qualname, [])
 
-    def callers(self, func: FunctionInfo) -> List[CallSite]:
-        if self._callers is None:
-            table: Dict[str, List[CallSite]] = {}
-            for sites in self.calls.values():
-                for site in sites:
-                    table.setdefault(site.callee.qualname,
-                                     []).append(site)
-            self._callers = table
-        return self._callers.get(func.qualname, [])
 
 
 def bind_arguments(site_node: ast.Call, callee: FunctionInfo,
@@ -256,7 +245,6 @@ def bind_arguments(site_node: ast.Call, callee: FunctionInfo,
 
 
 __all__ = [
-    "Access",
     "CallGraph",
     "CallSite",
     "ClassInfo",

@@ -1,11 +1,11 @@
 """Project-wide symbol table for the deep (whole-program) analyses.
 
 The file-local checkers of :mod:`repro.lint` see one ``ast`` tree at a
-time; the deep analyses (shard safety, transitive purity, dimension
-inference) need to reason *across* files: which class does this base
-name resolve to, which method does ``self.scale()`` dispatch to under
-the CSS/CIP mixin composition, which attribute accesses does a helper
-three modules away perform. :class:`ProjectIndex` answers those
+time; the deep analyses (transitive purity, dimension inference) need
+to reason *across* files: which class does this base name resolve to,
+which method does ``self.scale()`` dispatch to under the CSS/CIP mixin
+composition, which attribute accesses does a helper three modules away
+perform. :class:`ProjectIndex` answers those
 questions from one pass over every ``.py`` file of the ``repro``
 package:
 
@@ -27,9 +27,7 @@ package:
   project class it holds, inferred from constructor calls
   (``self.sim = Simulator(...)``) and annotated assignments
   (``self.ctx: Optional[PolicyContext]``), which lets the call graph
-  resolve ``self.sim.schedule(...)`` without runtime types;
-* **attribute-access index** — per function, every Name/Attribute chain
-  it touches, classified as read, write, delete or call receiver.
+  resolve ``self.sim.schedule(...)`` without runtime types.
 
 Everything is plain ``ast`` + stdlib; no imports of the analyzed code.
 """
@@ -114,15 +112,6 @@ class ModuleInfo:
         if 1 <= lineno <= len(self.lines):
             return self.lines[lineno - 1].strip()
         return ""
-
-
-@dataclass(frozen=True)
-class Access:
-    """One attribute/name access inside a function body."""
-
-    chain: Tuple[str, ...]        #: ``("self", "_usage", "dirty")``
-    kind: str                     #: ``read`` | ``write`` | ``delete`` | ``call``
-    node: ast.AST                 #: the Attribute/Name node
 
 
 # ======================================================================
@@ -457,81 +446,6 @@ class ProjectIndex:
             seen.add(sub.qualname)
             out.append(sub)
             queue.extend(self._subclasses.get(sub.qualname, ()))
-        return out
-
-    # -- attribute-access index ----------------------------------------
-
-    def accesses(self, func: FunctionInfo) -> List[Access]:
-        """Every Name/Attribute chain ``func`` touches, with its
-        read/write/delete/call classification.
-
-        Call receivers are reported as ``call`` with the chain including
-        the method name (``("self", "sim", "schedule")``); plain reads
-        nested inside other chains are not double-reported.
-        """
-        out: List[Access] = []
-
-        def classify(node: ast.AST, kind: str) -> bool:
-            chain = attr_chain(node)
-            if chain is None:
-                return False
-            out.append(Access(chain, kind, node))
-            return True
-
-        class Walker(ast.NodeVisitor):
-            def visit_Assign(self, node: ast.Assign) -> None:
-                for target in node.targets:
-                    self._store(target)
-                self.visit(node.value)
-
-            def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-                self._store(node.target)
-                if node.value is not None:
-                    self.visit(node.value)
-
-            def visit_AugAssign(self, node: ast.AugAssign) -> None:
-                self._store(node.target)
-                self.visit(node.value)
-
-            def _store(self, target: ast.AST) -> None:
-                if isinstance(target, (ast.Tuple, ast.List)):
-                    for elt in target.elts:
-                        self._store(elt)
-                    return
-                if isinstance(target, ast.Subscript):
-                    classify(target.value, "write")
-                    self.visit(target.slice)
-                    return
-                if not classify(target, "write"):
-                    self.generic_visit(target)
-
-            def visit_Delete(self, node: ast.Delete) -> None:
-                for target in node.targets:
-                    if isinstance(target, ast.Subscript):
-                        classify(target.value, "delete")
-                        self.visit(target.slice)
-                    elif not classify(target, "delete"):
-                        self.generic_visit(target)
-
-            def visit_Call(self, node: ast.Call) -> None:
-                if not classify(node.func, "call"):
-                    self.visit(node.func)
-                for arg in node.args:
-                    self.visit(arg)
-                for kw in node.keywords:
-                    self.visit(kw.value)
-
-            def visit_Attribute(self, node: ast.Attribute) -> None:
-                if not classify(node, "read"):
-                    self.generic_visit(node)
-
-            def visit_Name(self, node: ast.Name) -> None:
-                if isinstance(node.ctx, ast.Load):
-                    classify(node, "read")
-
-        walker = Walker()
-        for stmt in func.node.body:
-            walker.visit(stmt)
         return out
 
 

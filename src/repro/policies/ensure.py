@@ -90,7 +90,6 @@ class EnsurePolicy(OrchestrationPolicy):
 
     def on_maintenance(self, now: float) -> None:
         assert self.ctx is not None
-        # shard: cross-worker maintenance sweeps every worker's containers
         for worker in self.ctx.workers():
             funcs = set(worker.all_funcs()) | set(self._samples)
             # Sorted: scale-up order decides container creation order and

@@ -103,7 +103,6 @@ class FlamePolicy(OrchestrationPolicy):
 
     def on_maintenance(self, now: float) -> None:
         assert self.ctx is not None
-        # shard: cross-worker maintenance sweeps every worker's containers
         for worker in self.ctx.workers():
             for func in list(worker.all_funcs()):
                 idle = worker.idle_of(func)

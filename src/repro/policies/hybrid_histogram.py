@@ -171,7 +171,6 @@ class HybridHistogramPolicy(OrchestrationPolicy):
 
     def on_maintenance(self, now: float) -> None:
         assert self.ctx is not None
-        # shard: cross-worker maintenance sweeps every worker's containers
         for worker in self.ctx.workers():
             # Release containers whose keep-alive / release window expired.
             for container in list(worker.evictable()):

@@ -111,7 +111,6 @@ class IceBreakerPolicy(OrchestrationPolicy):
 
     def on_maintenance(self, now: float) -> None:
         assert self.ctx is not None
-        # shard: cross-worker maintenance sweeps every worker's containers
         for worker in self.ctx.workers():
             self._deactivate(worker, now)
             self._prewarm(worker, now)

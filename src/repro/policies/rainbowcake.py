@@ -222,7 +222,6 @@ class RainbowCakePolicy(OrchestrationPolicy):
 
     def on_maintenance(self, now: float) -> None:
         assert self.ctx is not None
-        # shard: cross-worker maintenance sweeps every worker's layer pools
         for worker in self.ctx.workers():
             pool = self._pool(worker)
             pool.expire(now, self._ttl_of)

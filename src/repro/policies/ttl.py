@@ -44,7 +44,6 @@ class TTLPolicy(OrchestrationPolicy):
 
     def on_maintenance(self, now: float) -> None:
         assert self.ctx is not None
-        # shard: cross-worker TTL maintenance sweeps every worker's containers
         for worker in self.ctx.workers():
             expired = [c for c in worker.evictable()
                        if now - c.last_used_ms >= self.ttl_ms]
@@ -58,7 +57,6 @@ class TTLPolicy(OrchestrationPolicy):
         if self.ctx is None:
             return None
         horizon = math.inf
-        # shard: cross-worker horizon scan over every worker's expiry times
         for worker in self.ctx.workers():
             oldest = worker.oldest_evictable_ms()
             if oldest is not None and oldest + self.ttl_ms < horizon:

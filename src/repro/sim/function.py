@@ -81,10 +81,11 @@ class FunctionSpec:
     layers: LayerStack = field(default=DEFAULT_LAYERS)
 
     def __post_init__(self) -> None:
-        if self.memory_mb <= 0:
-            raise ValueError(f"{self.name}: memory_mb must be positive")
-        # One chained compare rejects a negative, infinite or NaN cost
+        # One chained compare rejects a negative, infinite or NaN value
         # (NaN fails every comparison, ``< 0`` included).
+        if not 0 < self.memory_mb < inf:
+            raise ValueError(f"{self.name}: memory_mb must be finite "
+                             f"and positive, got {self.memory_mb}")
         if not 0 <= self.cold_start_ms < inf:
             raise ValueError(f"{self.name}: cold_start_ms must be finite "
                              f"and >= 0, got {self.cold_start_ms}")

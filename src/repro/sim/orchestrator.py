@@ -202,7 +202,6 @@ class Orchestrator:
             for i in range(self.config.workers)
         ]
         if self._faults is not None:
-            # shard: cross-worker init-time worker-class assignment, before any shard runs
             for worker in self._workers:
                 cls = self._faults.class_of(worker.worker_id)
                 if cls is not None:
@@ -329,7 +328,6 @@ class Orchestrator:
         return self.sim.now
 
     def workers(self) -> List[Worker]:
-        # shard: cross-worker pool accessor: policies enumerate all workers in maintenance
         return self._workers
 
     def spec_of(self, func: str) -> FunctionSpec:
@@ -348,12 +346,9 @@ class Orchestrator:
         re-provisioning for a backlog that is already covered."""
         if self._naive:
             started = sum(len(w.provisioning_of(func))
-                          # shard: cross-worker provision count aggregated across the whole pool
                           for w in self._workers)
         else:
-            started = sum(w.provisioning_count(func)
-                          # shard: cross-worker provision count aggregated across the whole pool
-                          for w in self._workers)
+            started = sum(w.provisioning_count(func) for w in self._workers)
         return started + self._pending_by_func.get(func, 0)
 
     def take_changed_functions(self) -> Set[str]:
@@ -639,7 +634,6 @@ class Orchestrator:
     # Fault injection (every path below requires self._faults)
 
     def _any_online(self) -> bool:
-        # shard: cross-worker cluster-liveness probe over the whole pool
         for worker in self._workers:
             if worker.online:
                 return True
@@ -669,7 +663,6 @@ class Orchestrator:
             self._m_failed.inc()
 
     def _on_worker_crash(self, crash: CrashSpec) -> None:
-        # shard: cross-worker fault plan addresses workers by global id
         worker = self._workers[crash.worker_id]
         if not worker.online:
             return  # plan crashed a worker that is already down
@@ -804,7 +797,6 @@ class Orchestrator:
         blocked + in-flight provisions and busy containers on online
         workers."""
         count = self._pending_by_func.get(func, 0)
-        # shard: cross-worker supply count aggregates slots across the whole pool
         for worker in self._workers:
             if not worker.online:
                 continue
@@ -1275,7 +1267,6 @@ class Orchestrator:
         them unchanged has no other effect."""
         return (self._epoch, *[
             (w.used_mb, w.evictable_version, w.online)
-            # shard: cross-worker a retry pass may try any worker's memory
             for w in self._workers])
 
     # ==================================================================
@@ -1307,7 +1298,6 @@ class Orchestrator:
         # later retry. When every online worker is stuck, the rest of the
         # queue stays as it is.
         stuck_workers: set = set()
-        # shard: cross-worker count of workers a pass can still try
         online = sum(1 for w in self._workers if w.online)
         kept: List[_PendingProvision] = []
         while pending and len(stuck_workers) < online:
@@ -1360,30 +1350,22 @@ class Orchestrator:
     def _dispatch(self, func: str) -> Worker:
         workers = self._workers
         if self._faults is not None:
-            # shard: cross-worker placement filters the pool to online workers
             online = [w for w in workers if w.online]
             if online:  # callers guard total outages; stay safe regardless
                 workers = online
         if len(workers) == 1 or self.config.dispatch == "single":
-            # shard: cross-worker placement picks the single candidate
             return workers[0]
         if self.config.dispatch == "hash":
             idx = zlib.crc32(func.encode()) % len(workers)
-            # shard: cross-worker placement by function-name hash over the pool
             return workers[idx]
-        # shard: cross-worker placement argmin over per-worker used memory
         return min(workers, key=lambda w: w.used_mb)
 
     def _sample_memory(self) -> None:
         if self._naive:
-            # shard: cross-worker cluster-memory sum over the whole pool
             used = sum(w.used_mb for w in self._workers)
         else:
-            # shard: cross-worker cluster-memory dirty flag set by Worker._charge
             if self._usage.dirty:
-                self._used_mb_cache = sum(w.used_mb
-                                          for w in self._workers)  # shard: cross-worker cluster-memory sum
-                # shard: cross-worker cluster-memory dirty flag cleared after resampling
+                self._used_mb_cache = sum(w.used_mb for w in self._workers)
                 self._usage.dirty = False
             used = self._used_mb_cache
         self.metrics.record_memory(self.sim.now, used)
@@ -1406,7 +1388,6 @@ class Orchestrator:
                 f"deadlock or an over-constrained configuration")
         # Count speculative containers that are still alive but were never
         # reused — wasted cold starts in hindsight (§3.2).
-        # shard: cross-worker final speculative-waste audit over the whole pool
         for worker in self._workers:
             for c in worker.containers.values():
                 if c.speculative and not c.served_any:

@@ -61,8 +61,10 @@ class Request:
     failed: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.exec_ms < 0:
-            raise ValueError("exec_ms must be >= 0")
+        # Negated so that NaN, which fails every comparison, is rejected.
+        if not self.exec_ms >= 0:
+            raise ValueError(f"request {self.req_id}: exec_ms must be "
+                             f">= 0, got {self.exec_ms}")
 
     # Derived metrics ----------------------------------------------------
 

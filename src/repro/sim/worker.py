@@ -132,7 +132,6 @@ class Worker:
     def _charge(self, delta_mb: float) -> None:
         self._used_mb += delta_mb
         if self._usage is not None:
-            # shard: cross-worker sets the cluster-memory dirty flag shared with the orchestrator's usage sampler
             self._usage.dirty = True
 
     def reserve(self, tag: str, mb: float) -> None:

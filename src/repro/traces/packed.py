@@ -4,16 +4,13 @@ Replaying a 100k-request trace through per-request :class:`Request`
 objects built up front costs two things before the simulation even
 starts: ~100k object allocations and ~100k heap pushes to schedule every
 arrival as its own engine event. A :class:`PackedTrace` compiles the
-request list once into four parallel ``array`` columns —
+request list once into three parallel ``array`` columns —
 
 * ``arrival_ms`` (``'d'``) — non-decreasing arrival timestamps,
 * ``exec_ms``    (``'d'``) — execution times,
 * ``func_idx``   (``'H'``/``'I'``) — index into the interned function
   table (one entry per distinct :class:`FunctionSpec`, in the trace's
-  declared function order),
-* ``memory_mb``  (``'d'``) — per-request footprint, denormalised from
-  the function table so shard slicing (a planned follow-up) never needs
-  the table to size a partition.
+  declared function order).
 
 The orchestrator replays the columns through the engine's arrival
 *stream* (:meth:`repro.sim.engine.Simulator.bind_stream`): request
@@ -53,13 +50,13 @@ class PackedTrace:
     is_packed = True
 
     __slots__ = ("name", "functions", "func_names", "arrival_ms",
-                 "exec_ms", "func_idx", "memory_mb", "_digest")
+                 "exec_ms", "func_idx", "_digest")
 
     def __init__(self, name: str, functions: Sequence[FunctionSpec],
                  arrival_ms: array, exec_ms: array, func_idx: array,
-                 memory_mb: array, digest: Optional[str] = None):
+                 digest: Optional[str] = None):
         n = len(arrival_ms)
-        if not (len(exec_ms) == len(func_idx) == len(memory_mb) == n):
+        if not (len(exec_ms) == len(func_idx) == n):
             raise ValueError("packed columns must have equal length")
         self.name = name
         self.functions: List[FunctionSpec] = list(functions)
@@ -69,7 +66,6 @@ class PackedTrace:
         self.arrival_ms = arrival_ms
         self.exec_ms = exec_ms
         self.func_idx = func_idx
-        self.memory_mb = memory_mb
         self._digest = digest
 
     # ------------------------------------------------------------------
@@ -117,21 +113,6 @@ class PackedTrace:
         return [Request(names[idx[i]], arrivals[i], execs[i], req_id=i)
                 for i in range(len(arrivals))]
 
-    def slice(self, start: int, stop: int,
-              name: str = "") -> "PackedTrace":
-        """A contiguous row range as its own packed trace (shard seam).
-
-        The slice keeps the full function table (so ``func_idx`` stays
-        valid) and original arrival times; ``req_id``s restart at 0,
-        matching what :class:`~repro.traces.schema.Trace` would assign.
-        """
-        return PackedTrace(name or f"{self.name}[{start}:{stop}]",
-                           self.functions,
-                           self.arrival_ms[start:stop],
-                           self.exec_ms[start:stop],
-                           self.func_idx[start:stop],
-                           self.memory_mb[start:stop])
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<PackedTrace {self.name!r}: {self.num_functions} "
                 f"functions, {self.num_requests} requests>")
@@ -151,14 +132,12 @@ def pack_trace(trace) -> PackedTrace:
     arrival = array("d", (r.arrival_ms for r in requests))
     execs = array("d", (r.exec_ms for r in requests))
     fidx = array(typecode, (index[r.func] for r in requests))
-    mem_of = [f.memory_mb for f in functions]
-    memory = array("d", (mem_of[j] for j in fidx))
     for i in range(1, len(arrival)):
         if arrival[i] < arrival[i - 1]:
             raise ValueError("arrivals must be non-decreasing")
     digest = getattr(trace, "_content_digest", None)
     return PackedTrace(trace.name, functions, arrival, execs, fidx,
-                       memory, digest=digest)
+                       digest=digest)
 
 
 def packed_digest(packed: PackedTrace) -> str:

@@ -1,6 +1,6 @@
 """CLI surface of the deep analyses: ``repro-lint --deep`` (and the
-``cidre-sim lint`` verb), the separate deep baseline, inline
-suppressions, and ``--shard-report``.
+``cidre-sim lint`` verb), the separate deep baseline and inline
+suppressions.
 """
 
 import json
@@ -13,15 +13,19 @@ from repro.lint.cli import main as lint_main
 REPO = Path(__file__).resolve().parents[3]
 SRC = str(REPO / "src" / "repro")
 
-UNANNOTATED = textwrap.dedent("""\
-    class Orchestrator:
-        def sweep(self):
-            for worker in self._workers:
-                worker.poke()
+#: One API002 finding: a `_ms` value compared with a `_s` parameter
+#: through a local that hides the unit from the file-local API001.
+UNIT_MIX = textwrap.dedent("""\
+    def horizon_ms():
+        return 5000.0
+
+    def use(keepalive_s):
+        budget = horizon_ms()
+        return budget > keepalive_s
     """)
 
 
-def write_fixture(tmp_path, source, name="orchestrator.py"):
+def write_fixture(tmp_path, source, name="fixture.py"):
     pkg = tmp_path / "repro" / "sim"
     pkg.mkdir(parents=True)
     path = pkg / name
@@ -34,20 +38,22 @@ class TestDeepRuns:
         assert lint_main([SRC, "--deep"]) == 0
         assert capsys.readouterr().out.startswith("OK: 0 finding(s)")
 
-    def test_unannotated_fixture_exit_one(self, tmp_path, capsys):
-        write_fixture(tmp_path, UNANNOTATED)
+    def test_deep_finding_exit_one(self, tmp_path, capsys):
+        write_fixture(tmp_path, UNIT_MIX)
         assert lint_main([str(tmp_path / "repro"), "--deep",
                           "--no-baseline"]) == 1
-        assert "SHD001" in capsys.readouterr().out
+        assert "API002" in capsys.readouterr().out
 
     def test_inline_suppression_applies_to_deep_rules(
             self, tmp_path, capsys):
         write_fixture(tmp_path, textwrap.dedent("""\
-            class Orchestrator:
-                def sweep(self):
-                    # repro-lint: disable=SHD001
-                    for worker in self._workers:
-                        worker.poke()
+            def horizon_ms():
+                return 5000.0
+
+            def use(keepalive_s):
+                budget = horizon_ms()
+                # repro-lint: disable=API002
+                return budget > keepalive_s
             """))
         assert lint_main([str(tmp_path / "repro"), "--deep",
                           "--no-baseline"]) == 0
@@ -55,7 +61,7 @@ class TestDeepRuns:
 
     def test_deep_baseline_grandfathers_and_reports_stale(
             self, tmp_path, capsys):
-        write_fixture(tmp_path, UNANNOTATED)
+        write_fixture(tmp_path, UNIT_MIX)
         baseline = tmp_path / "lint-deep-baseline.json"
         # Build the baseline with --update-baseline, then lint again.
         assert lint_main([str(tmp_path / "repro"), "--deep",
@@ -67,14 +73,8 @@ class TestDeepRuns:
         assert "1 baselined" in capsys.readouterr().out
 
         # Fixing the site turns the entry stale (still exit 0).
-        (tmp_path / "repro" / "sim" / "orchestrator.py").write_text(
-            textwrap.dedent("""\
-                class Orchestrator:
-                    def sweep(self):
-                        # shard: cross-worker sweep
-                        for worker in self._workers:
-                            worker.poke()
-                """))
+        (tmp_path / "repro" / "sim" / "fixture.py").write_text(
+            UNIT_MIX.replace("horizon_ms()", "horizon_ms() / 1000.0"))
         assert lint_main([str(tmp_path / "repro"), "--deep",
                           "--baseline", str(baseline)]) == 0
         assert "stale baseline entry" in capsys.readouterr().out
@@ -82,58 +82,28 @@ class TestDeepRuns:
     def test_separate_baselines_do_not_cross_apply(self, tmp_path):
         # A classic baseline must not silence deep findings: the deep
         # run discovers lint-deep-baseline.json, never the classic one.
-        write_fixture(tmp_path, UNANNOTATED)
+        write_fixture(tmp_path, UNIT_MIX)
         (tmp_path / "pyproject.toml").write_text("")
         classic = {"version": 1, "entries": [{
-            "rule": "SHD001",
-            "path": "repro/sim/orchestrator.py",
-            "line_text": "for worker in self._workers:",
+            "rule": "API002",
+            "path": "repro/sim/fixture.py",
+            "line_text": "return budget > keepalive_s",
             "reason": "wrong file on purpose"}]}
         (tmp_path / "lint-baseline.json").write_text(
             json.dumps(classic))
         assert lint_main([str(tmp_path / "repro"), "--deep"]) == 1
 
-    def test_json_format_includes_shard_summary(self, tmp_path, capsys):
-        write_fixture(tmp_path, UNANNOTATED)
+    def test_json_format_counts_deep_findings(self, tmp_path, capsys):
+        write_fixture(tmp_path, UNIT_MIX)
         assert lint_main([str(tmp_path / "repro"), "--deep",
                           "--no-baseline", "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["counts"] == {"SHD001": 1}
-        assert payload["shard"]["unannotated_cross_worker"] == 1
+        assert payload["counts"] == {"API002": 1}
 
     def test_select_restricts_deep_rules(self, tmp_path, capsys):
-        write_fixture(tmp_path, UNANNOTATED)
+        write_fixture(tmp_path, UNIT_MIX)
         assert lint_main([str(tmp_path / "repro"), "--deep",
-                          "--no-baseline", "--select", "API002"]) == 0
-
-
-class TestShardReportFlag:
-    def test_writes_inventory(self, tmp_path, capsys):
-        write_fixture(tmp_path, UNANNOTATED)
-        out = tmp_path / "shard-report.json"
-        lint_main([str(tmp_path / "repro"), "--deep", "--no-baseline",
-                   "--shard-report", str(out)])
-        report = json.loads(out.read_text())
-        assert report["version"] == 1
-        assert report["summary"]["sites"] == 1
-        (site,) = report["sites"]
-        assert site["ownership"] == "cross-worker"
-        assert site["kind"] == "iterate"
-
-    def test_requires_deep(self, capsys):
-        assert lint_main([SRC, "--shard-report", "x.json"]) == 2
-        assert "--shard-report requires --deep" in \
-            capsys.readouterr().err
-
-    def test_head_report_lists_known_sites(self, tmp_path):
-        out = tmp_path / "shard-report.json"
-        assert lint_main([SRC, "--deep", "--shard-report",
-                          str(out)]) == 0
-        report = json.loads(out.read_text())
-        functions = {s["function"] for s in report["sites"]}
-        assert any(f.endswith("Orchestrator._dispatch")
-                   for f in functions)
-        assert any(f.endswith("Worker._charge") for f in functions)
+                          "--no-baseline", "--select", "PUR003"]) == 0
 
 
 class TestEmbeddedVerb:
@@ -144,5 +114,13 @@ class TestEmbeddedVerb:
     def test_rules_catalogue_includes_deep_rules(self, capsys):
         assert lint_main(["--rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("SHD001", "SHD002", "PUR003", "API002"):
-            assert code in out
+        deep = [line.split()[0] for line in out.splitlines()
+                if line.endswith("[--deep]")]
+        assert deep == ["API002", "PUR003"]
+
+    def test_deep_rules_catalogue_lists_only_deep_rules(self, capsys):
+        assert lint_main(["--deep", "--rules"]) == 0
+        codes = [line.split()[0] for line in
+                 capsys.readouterr().out.splitlines()
+                 if not line.startswith(" ")]
+        assert codes == ["API002", "PUR003"]

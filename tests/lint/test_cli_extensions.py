@@ -192,12 +192,16 @@ class TestGithubFormat:
 
     def test_deep_findings_render_as_annotations(self, tmp_path,
                                                  capsys):
-        write(tmp_path, "orchestrator.py", textwrap.dedent("""\
-            class Orchestrator:
-                def sweep(self):
-                    for worker in self._workers:
-                        worker.poke()
+        write(tmp_path, "one.py", textwrap.dedent("""\
+            def horizon_ms():
+                return 5000.0
+
+            def use(keepalive_s):
+                budget = horizon_ms()
+                return budget > keepalive_s
             """))
         assert lint_main([str(tmp_path / "repro"), "--deep",
                           "--no-baseline", "--format", "github"]) == 1
-        assert "title=SHD001::" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "::error file=repro/sim/one.py,line=6," in out
+        assert "title=API002::" in out

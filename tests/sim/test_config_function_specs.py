@@ -14,6 +14,12 @@ class TestFunctionSpecValidation:
         with pytest.raises(ValueError):
             FunctionSpec("f", memory_mb=-5.0, cold_start_ms=1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_memory(self, bad):
+        with pytest.raises(ValueError,
+                           match="fn-7: memory_mb must be finite"):
+            FunctionSpec("fn-7", memory_mb=bad, cold_start_ms=1.0)
+
     def test_rejects_negative_cold_start(self):
         with pytest.raises(ValueError):
             FunctionSpec("f", memory_mb=1.0, cold_start_ms=-1.0)
@@ -72,6 +78,11 @@ class TestRequestIds:
         trace = Trace("t", [spec], [Request("f", 1.0, 1.0)])
         fresh = trace.fresh_requests()
         assert fresh[0].req_id == trace.requests[0].req_id
+
+    def test_rejects_nan_exec_time_naming_the_request(self):
+        with pytest.raises(ValueError,
+                           match="request 12: exec_ms must be >= 0, got nan"):
+            Request("f", 1.0, float("nan"), req_id=12)
 
     def test_start_type_enum_values(self):
         assert {t.value for t in StartType} \

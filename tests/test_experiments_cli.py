@@ -1,7 +1,5 @@
 """Tests for the experiment harness and the CLI."""
 
-import itertools
-
 import pytest
 
 from repro.cli import main
@@ -388,53 +386,6 @@ class TestCLIExtras:
         assert code == 2
 
 
-class TestBenchThroughputCLI:
-    @pytest.fixture
-    def tiny_suite(self, monkeypatch):
-        from repro.experiments import throughput
-        tiny = throughput.BenchScenario(
-            name="tiny", description="tiny smoke", seed=3,
-            total_requests=800, capacity_gb=2.0, policies=("TTL",))
-        monkeypatch.setattr(throughput, "SCENARIOS", (tiny,))
-        return tiny
-
-    def test_bench_writes_payload_and_self_check_passes(
-            self, tiny_suite, tmp_path, capsys, monkeypatch):
-        # A fixed-step clock makes every replay take exactly one step, so
-        # the self-check compares equal rates instead of two host timings.
-        from repro.experiments import throughput
-        ticks = itertools.count()
-        monkeypatch.setattr(throughput, "perf_counter",
-                            lambda: next(ticks) * 0.5)
-        out = str(tmp_path / "bench.json")
-        assert main(["bench-throughput", "--out", out]) == 0
-        assert "replay throughput" in capsys.readouterr().out
-        assert main(["bench-throughput", "--check", out]) == 0
-        assert "within 2x" in capsys.readouterr().out
-
-    def test_bench_reference_mode_pairs_rows(self, tiny_suite, capsys):
-        assert main(["bench-throughput", "--reference"]) == 0
-        out = capsys.readouterr().out
-        assert "indexed" in out and "reference" in out
-
-    def test_bench_unknown_scenario(self, capsys):
-        assert main(["bench-throughput", "--scenarios", "nope"]) == 2
-        assert "unknown scenario" in capsys.readouterr().err
-
-    def test_bench_check_detects_regression(self, tiny_suite, tmp_path,
-                                            capsys):
-        from repro.experiments import throughput
-        baseline = {
-            "schema": throughput.SCHEMA,
-            "scenarios": {"tiny": {"results": [
-                {"policy": "TTL", "reference_impl": False,
-                 "events_per_sec": 1e12}]}}}
-        path = str(tmp_path / "baseline.json")
-        throughput.save_payload(baseline, path)
-        assert main(["bench-throughput", "--check", path]) == 1
-        assert "regression" in capsys.readouterr().err
-
-
 class TestRunProfileCLI:
     def test_run_with_profile(self, capsys):
         code = main(["run", "--preset", "azure", "--requests", "1500",
@@ -456,15 +407,6 @@ class TestRunProfileCLI:
 
 
 class TestPackedReplayCLI:
-    @pytest.fixture
-    def tiny_suite(self, monkeypatch):
-        from repro.experiments import throughput
-        tiny = throughput.BenchScenario(
-            name="tiny", description="tiny smoke", seed=3,
-            total_requests=800, capacity_gb=2.0, policies=("TTL",))
-        monkeypatch.setattr(throughput, "SCENARIOS", (tiny,))
-        return tiny
-
     def test_profile_out_implies_profile(self, tmp_path, capsys):
         out = str(tmp_path / "run.pstats")
         code = main(["run", "--preset", "azure", "--requests", "1500",
@@ -474,57 +416,6 @@ class TestPackedReplayCLI:
         import os
         assert os.path.getsize(out) > 0
         assert "cumulative" in capsys.readouterr().err
-
-    def test_bench_fast_forward_flag(self, tiny_suite, capsys):
-        assert main(["bench-throughput", "--fast-forward"]) == 0
-        assert "indexed+ff" in capsys.readouterr().err
-
-    def test_bench_compare_prints_deltas(self, tiny_suite, tmp_path,
-                                         capsys):
-        out = str(tmp_path / "bench.json")
-        assert main(["bench-throughput", "--out", out]) == 0
-        capsys.readouterr()
-        assert main(["bench-throughput", "--compare", out]) == 0
-        printed = capsys.readouterr().out
-        assert "throughput vs" in printed
-        assert "tiny" in printed
-
-    def test_bench_compare_detects_regression(self, tiny_suite, tmp_path,
-                                              capsys):
-        from repro.experiments import throughput
-        baseline = {
-            "schema": throughput.SCHEMA,
-            "scenarios": {"tiny": {"results": [
-                {"policy": "TTL", "reference_impl": False,
-                 "events_per_sec": 1e12}]}}}
-        path = str(tmp_path / "baseline.json")
-        throughput.save_payload(baseline, path)
-        assert main(["bench-throughput", "--compare", path]) == 1
-        assert "regression" in capsys.readouterr().err
-
-    def test_bench_two_sided_check_flags_stale_baseline(
-            self, tiny_suite, tmp_path, capsys):
-        from repro.experiments import throughput
-        baseline = {
-            "schema": throughput.SCHEMA,
-            "scenarios": {"tiny": {"results": [
-                {"policy": "TTL", "reference_impl": False,
-                 "events_per_sec": 1e-6}]}}}
-        path = str(tmp_path / "baseline.json")
-        throughput.save_payload(baseline, path)
-        assert main(["bench-throughput", "--check", path]) == 1
-        assert "stale baseline" in capsys.readouterr().err
-        assert main(["bench-throughput", "--check", path,
-                     "--one-sided"]) == 0
-
-    def test_bench_out_accumulates_history(self, tiny_suite, tmp_path):
-        from repro.experiments import throughput
-        out = str(tmp_path / "bench.json")
-        assert main(["bench-throughput", "--out", out]) == 0
-        assert main(["bench-throughput", "--out", out]) == 0
-        payload = throughput.load_payload(out)
-        assert len(payload["history"]) == 2
-        assert "tiny/TTL" in payload["history"][0]["events_per_sec"]
 
     def test_trace_fast_forward_event_log_matches_reference(
             self, tmp_path, capsys):

@@ -8,7 +8,7 @@ replay semantics. These tests pin the structural contracts —
 * column correctness and lazy materialization (``materialize`` /
   ``materialize_all`` reproduce ``fresh_requests`` exactly);
 * function-name interning (one shared ``str`` per function);
-* slicing (the shard seam) and validation errors.
+* validation errors.
 """
 
 from array import array
@@ -51,12 +51,10 @@ def test_columns_match_requests(trace):
     assert packed.num_requests == trace.num_requests
     assert packed.num_functions == trace.num_functions
     assert packed.duration_ms == trace.duration_ms
-    mem_of = {f.name: f.memory_mb for f in trace.functions}
     for i, req in enumerate(trace.requests):
         assert packed.arrival_ms[i] == req.arrival_ms
         assert packed.exec_ms[i] == req.exec_ms
         assert packed.func_names[packed.func_idx[i]] == req.func
-        assert packed.memory_mb[i] == mem_of[req.func]
 
 
 def test_materialize_matches_fresh_requests(trace):
@@ -80,20 +78,6 @@ def test_function_names_interned(trace):
         assert req.func is packed.func_names[packed.func_idx[i]]
 
 
-def test_slice_is_a_valid_shard(trace):
-    packed = trace.packed()
-    part = packed.slice(100, 250)
-    assert part.num_requests == 150
-    # The function table survives whole so func_idx stays valid.
-    assert part.functions == packed.functions
-    assert list(part.arrival_ms) == list(packed.arrival_ms[100:250])
-    # req_ids restart at 0, matching what Trace would assign to a shard.
-    first = part.materialize(0)
-    assert first.req_id == 0
-    assert first.arrival_ms == packed.arrival_ms[100]
-    assert "[100:250]" in part.name
-
-
 def test_typecode_widens_past_65535_functions():
     funcs = [SimpleNamespace(name=f"f{i}", memory_mb=1.0)
              for i in range(0x10000)]
@@ -113,7 +97,7 @@ def test_empty_trace_duration_zero():
 def test_unequal_columns_rejected():
     with pytest.raises(ValueError, match="equal length"):
         PackedTrace("bad", [], array("d", [1.0, 2.0]), array("d", [1.0]),
-                    array("H", [0]), array("d", [1.0]))
+                    array("H", [0]))
 
 
 def test_non_monotonic_arrivals_rejected():
