@@ -60,10 +60,11 @@ class HybridPolicy(OrchestrationPolicy):
         return ScalingDecision.cold()
 
     # -- eviction: cost-weighted recency ----------------------------------
+    # priority = last_used_ms (the base order_key) + a per-function term;
+    # supplying only that term lets REPLACE rank function groups.
 
-    def priority(self, container, now) -> float:
-        spec = container.spec
-        return container.last_used_ms + spec.cold_start_ms
+    def group_offset(self, spec, worker, now) -> float:
+        return spec.cold_start_ms
 
 
 def main() -> None:

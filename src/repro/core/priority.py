@@ -25,13 +25,14 @@ priority value before the other statistics are refreshed.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.core.window import MINUTES_MS
 from repro.policies.base import OrchestrationPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.container import Container
+    from repro.sim.function import FunctionSpec
     from repro.sim.request import Request
     from repro.sim.worker import Worker
 
@@ -80,58 +81,34 @@ class CIPEvictionMixin(OrchestrationPolicy):
 
     # -- priority -----------------------------------------------------------
 
-    def priority(self, container: "Container", now: float) -> float:
-        spec = container.spec
-        freq = self.freq_per_minute(spec.name, now)
-        worker = container.worker
-        k = max(worker.warm_count(spec.name), 1) if worker is not None else 1
-        return (container.clock
-                + freq * spec.cold_start_ms / (max(spec.memory_mb, 1e-9) * k))
+    order_key = "clock"
 
-    def priorities(self, containers, now: float):
-        """Batch form: compute each function's ``|F(c)|`` and ``Freq`` once.
+    def group_offset(self, spec: "FunctionSpec", worker: Optional["Worker"],
+                     now: float) -> float:
+        """Eq. 3's shared term, ``Freq(F) * Cost / (Size * |F|)``.
 
         ``Freq`` is function-global (Eq. 4), but ``|F(c)|`` counts warm
-        containers *on the container's own worker* — same-function
-        containers on different workers see different counts — so the
-        count memo is keyed by ``(func, worker)``, exactly matching what
-        the scalar :meth:`priority` computes for each container.
+        containers on ``worker`` — same-function containers on different
+        workers see different counts. A detached container (``worker`` is
+        ``None``, e.g. a victim being accounted) counts 1.
         """
-        counts = {}
-        freqs = {}
-        out = []
-        for container in containers:
-            func = container.spec.name
-            worker = container.worker
-            key = (func, None if worker is None else worker.worker_id)
-            k = counts.get(key)
-            if k is None:
-                k = counts[key] = max(worker.warm_count(func), 1) \
-                    if worker is not None else 1
-            freq = freqs.get(func)
-            if freq is None:
-                freq = freqs[func] = self.freq_per_minute(func, now)
-            spec = container.spec
-            out.append(container.clock
-                       + freq * spec.cold_start_ms
-                       / (max(spec.memory_mb, 1e-9) * k))
-        return out
+        freq = self.freq_per_minute(spec.name, now)
+        k = max(worker.warm_count(spec.name), 1) if worker is not None else 1
+        return freq * spec.cold_start_ms / (max(spec.memory_mb, 1e-9) * k)
 
     def priority_components(self, container: "Container",
                             now: float) -> Dict:
         """Eq. 3 term decomposition for one container (audit records)."""
         spec = container.spec
-        freq = self.freq_per_minute(spec.name, now)
         worker = container.worker
-        k = max(worker.warm_count(spec.name), 1) if worker is not None else 1
         return {
-            "priority": container.clock
-            + freq * spec.cold_start_ms / (max(spec.memory_mb, 1e-9) * k),
+            "priority": self.priority(container, now),
             "clock": container.clock,
-            "freq_per_min": freq,
+            "freq_per_min": self.freq_per_minute(spec.name, now),
             "cost_ms": spec.cold_start_ms,
             "size_mb": spec.memory_mb,
-            "warm_count": k,
+            "warm_count": max(worker.warm_count(spec.name), 1)
+            if worker is not None else 1,
         }
 
     # -- clock discipline ----------------------------------------------------

@@ -4,7 +4,7 @@ The deep analyses need to follow calls across files: transitive purity
 walks caller -> callee mutation summaries, dimension inference binds
 argument units to callee parameters, and both must know what
 ``self.priority(...)`` means inside ``CIPEvictionMixin`` (answer: the
-override in the concrete policy, via the C3 MRO).
+first definition along the C3 MRO).
 
 Resolution is deliberately conservative and purely syntactic:
 

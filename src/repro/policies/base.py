@@ -16,9 +16,12 @@ An :class:`OrchestrationPolicy` plugs into the simulator's control plane
 
 2. **Eviction** — when provisioning needs memory, :meth:`make_room` frees
    capacity. The default implementation evicts idle containers in
-   ascending :meth:`priority` order (the paper's ``REPLACE`` subroutine);
-   policies may override either the priority (GDSF, CIP, LRU, ...) or the
-   whole procedure (CodeCrunch compresses instead of evicting).
+   ascending :meth:`priority` order (the paper's ``REPLACE`` subroutine).
+   Policies give the priority as a per-container key plus a per-function
+   :meth:`~OrchestrationPolicy.group_offset` (LRU, GDSF, CIP, ...),
+   override :meth:`~OrchestrationPolicy.priority` outright (Flame, ...),
+   or override the whole procedure (CodeCrunch compresses instead of
+   evicting).
 
 Policies observe the container lifecycle through ``on_*`` hooks; they never
 mutate simulator state directly except through the :class:`PolicyContext`
@@ -28,6 +31,7 @@ facade handed to them at bind time.
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Protocol, Set
@@ -124,6 +128,29 @@ class PolicyContext(Protocol):
         The record then starts over, so one consumer owns it."""
 
 
+def _push_run(push, run: list, key: str) -> None:
+    """Offer a function group's next run of equal computed priority.
+
+    ``run`` is ``[order, offset, start, pending]``: the group's sorted
+    ``(key, container_id, container)`` entries, its shared offset, the
+    first entry not offered yet, and how many offered entries the heap
+    still holds.
+    """
+    order, offset, start = run[0], run[1], run[2]
+    victim = order[start][2]
+    head = getattr(victim, key) + offset
+    push((head, victim.container_id, victim, run))
+    end, size = start + 1, len(order)
+    while end < size:
+        victim = order[end][2]
+        if getattr(victim, key) + offset != head:
+            break
+        push((head, victim.container_id, victim, run))
+        end += 1
+    run[2] = end
+    run[3] = end - start
+
+
 class OrchestrationPolicy:
     """Base policy: always cold-start, evict by recency (LRU-like).
 
@@ -173,23 +200,69 @@ class OrchestrationPolicy:
     # ------------------------------------------------------------------
     # Eviction
 
+    #: Container attribute holding the per-container term of the
+    #: priority: recency here, ``Clock(c)`` for the GDSF family and CIP.
+    order_key = "last_used_ms"
+    #: ``order_key`` when this class ranks by function group, else None
+    #: (derived per subclass below; workers keep their groups ordered by
+    #: it).
+    group_key: Optional[str] = order_key
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # A policy ranks by function group exactly when its priority is
+        # the derived ``key + group_offset`` form below; overriding
+        # priority() or priorities() opts out, from the class alone.
+        cls.group_key = (
+            cls.order_key
+            if cls.priority is OrchestrationPolicy.priority
+            and cls.priorities is OrchestrationPolicy.priorities
+            else None)
+
+    def group_offset(self, spec: "FunctionSpec", worker: Optional["Worker"],
+                     now: float) -> float:
+        """The part of the priority shared by every container of ``spec``
+        on ``worker`` (``None`` for a detached container).
+
+        Eq. 3 has this shape, ``Priority(c) = Clock(c) + offset(F)``: a
+        policy that supplies :attr:`order_key` and this hook gets its
+        :meth:`priority`, :meth:`priorities` and a REPLACE that scores
+        only each function group's head. The default, 0, is LRU.
+        """
+        return 0.0
+
     def priority(self, container: "Container", now: float) -> float:
         """Keep-alive priority; lower values are evicted first.
 
-        The default is pure recency (LRU): the least recently used
-        container has the lowest priority.
+        ``getattr(container, order_key) + group_offset(...)``. A policy
+        whose priority does not have that shape overrides this, and then
+        :meth:`make_room` ranks every candidate.
         """
-        return container.last_used_ms
+        return (getattr(container, self.order_key)
+                + self.group_offset(container.spec, container.worker, now))
 
     def priorities(self, containers: List["Container"],
                    now: float) -> List[float]:
-        """Batch priority computation (hot path of ``make_room``).
+        """Batch priority computation (the audit's survivor ranking and
+        the full-ranking ``make_room``).
 
-        The default delegates to :meth:`priority`; policies whose priority
-        needs per-function aggregates (CIP's ``|F(c)|``, FaasCache-C's
-        ``K``) override this to precompute them once per batch.
+        Computes each ``(function, worker)`` group's offset once; for a
+        policy that overrides :meth:`priority` it delegates to it.
         """
-        return [self.priority(c, now) for c in containers]
+        key = self.group_key
+        if key is None:
+            return [self.priority(c, now) for c in containers]
+        offsets = {}
+        out = []
+        for c in containers:
+            worker = c.worker
+            group = (c.spec.name, None if worker is None else worker.worker_id)
+            offset = offsets.get(group)
+            if offset is None:
+                offset = offsets[group] = self.group_offset(c.spec, worker,
+                                                            now)
+            out.append(getattr(c, key) + offset)
+        return out
 
     def priority_components(self, container: "Container",
                             now: float) -> dict:
@@ -211,13 +284,14 @@ class OrchestrationPolicy:
         being provisioned so policies can avoid evicting its own reusable
         containers.
 
-        The fast path ranks victims through a min-heap keyed on
-        ``(priority, container_id)`` and pops only until enough memory is
-        freed, instead of fully sorting every candidate. This selects the
-        exact same victims in the exact same order as the retained
-        sort-based reference: the reference's ``sorted`` is stable over
-        candidates listed in ascending container id, so its tie-break *is*
-        ascending container id — precisely the heap's secondary key.
+        Victims come off a min-heap keyed on ``(priority, container_id)``,
+        popped only until enough memory is freed. That is the order of the
+        retained sort-based reference: its ``sorted`` is stable over
+        candidates in ascending container id, so its tie-break *is*
+        ascending container id. When the worker keeps its evictable
+        containers ordered by this policy's :attr:`order_key`, the heap
+        holds only function-group heads (:meth:`_select_grouped`);
+        otherwise it holds every candidate.
         """
         assert self.ctx is not None, "policy not bound"
         if worker.free_mb >= need_mb:
@@ -231,24 +305,58 @@ class OrchestrationPolicy:
         # fit — skip the priority ranking entirely.
         if worker.free_mb + worker.evictable_mb() < need_mb:
             return False
-        candidates = list(worker.evictable_items())
-        ranked = self.priorities(candidates, now)
-        heap = [(priority, c.container_id, c)
-                for priority, c in zip(ranked, candidates)]
-        heapq.heapify(heap)
-        freed = worker.free_mb
-        chosen: List["Container"] = []
-        while freed < need_mb:
-            _, _, victim = heapq.heappop(heap)
-            chosen.append(victim)
-            freed += victim.memory_mb
+        candidates = ranked = None
+        key = self.group_key
+        if key is not None and worker.order_key == key:
+            chosen = self._select_grouped(worker, key, need_mb, now)
+        else:
+            candidates = list(worker.evictable_items())
+            ranked = self.priorities(candidates, now)
+            heap = [(priority, c.container_id, c)
+                    for priority, c in zip(ranked, candidates)]
+            heapq.heapify(heap)
+            freed = worker.free_mb
+            chosen = []
+            while freed < need_mb:
+                _, _, victim = heapq.heappop(heap)
+                chosen.append(victim)
+                freed += victim.memory_mb
         did = None
         if self.audit is not None or self.metrics is not None:
-            did = self._note_replace(worker, candidates, ranked, chosen,
-                                     need_mb, now, for_func)
+            did = self._note_replace(worker, chosen, need_mb, now, for_func,
+                                     candidates, ranked)
         for victim in chosen:
             self.ctx.evict(victim, decision_id=did)
         return True
+
+    def _select_grouped(self, worker: "Worker", key: str, need_mb: float,
+                        now: float) -> List["Container"]:
+        """REPLACE's victims, scoring function-group heads only.
+
+        Each group's evictable containers are in ``(key, container_id)``
+        order, and every member shares the group's offset, so priority is
+        monotone along a group: the group's cheapest member is at its
+        front. Monotone is not strictly increasing, though: ``a < b`` only
+        gives ``a + x <= b + x`` once rounded, and then the container id
+        decides. So a group offers its whole leading run of equal
+        computed priority, and its next run only once that run is popped.
+        """
+        heap: list = []
+        for order in worker.ordered_groups():
+            offset = self.group_offset(order[0][2].spec, worker, now)
+            _push_run(heap.append, [order, offset, 0, 0], key)
+        heapq.heapify(heap)
+        push = functools.partial(heapq.heappush, heap)
+        freed = worker.free_mb
+        chosen: List["Container"] = []
+        while freed < need_mb:
+            _, _, victim, run = heapq.heappop(heap)
+            chosen.append(victim)
+            freed += victim.memory_mb
+            run[3] -= 1
+            if not run[3] and run[2] < len(run[0]):
+                _push_run(push, run, key)
+        return chosen
 
     def _make_room_reference(self, worker: "Worker", need_mb: float,
                              now: float,
@@ -271,8 +379,8 @@ class OrchestrationPolicy:
             return False
         did = None
         if self.audit is not None or self.metrics is not None:
-            did = self._note_replace(worker, candidates, priorities, chosen,
-                                     need_mb, now, for_func)
+            did = self._note_replace(worker, chosen, need_mb, now, for_func,
+                                     candidates, priorities)
         for victim in chosen:
             self.ctx.evict(victim, decision_id=did)
         return True
@@ -307,24 +415,28 @@ class OrchestrationPolicy:
                 break
         did = None
         if self.audit is not None or self.metrics is not None:
-            did = self._note_replace(worker, candidates, priorities, chosen,
-                                     need_mb, now, for_func)
+            did = self._note_replace(worker, chosen, need_mb, now, for_func,
+                                     candidates, priorities)
         for victim in chosen:
             self.ctx.evict(victim, decision_id=did)
         return True
 
-    def _note_replace(self, worker: "Worker", candidates: List["Container"],
-                      priorities: List[float], chosen: List["Container"],
-                      need_mb: float, now: float,
-                      for_func: Optional[str]) -> Optional[int]:
+    def _note_replace(self, worker: "Worker", chosen: List["Container"],
+                      need_mb: float, now: float, for_func: Optional[str],
+                      candidates: Optional[List["Container"]] = None,
+                      priorities: Optional[List[float]] = None
+                      ) -> Optional[int]:
         """Feed metrics/audit for one REPLACE decision (read-only).
         Returns the audit ``decision_id`` (``None`` with no audit).
 
         Runs *before* the victims are evicted so the Eq. 3 components are
         the values the ranking actually used (eviction updates the running
-        clock). Only the base ``make_room`` flows through here; policies
-        that override the whole procedure (CodeCrunch's compression,
-        RainbowCake's layer decay) do their reclaiming off-audit.
+        clock). ``candidates``/``priorities`` is the ranked pool; when the
+        selection scored group heads only, the audit ranks the worker's
+        whole evictable set here. Only the base ``make_room`` flows
+        through here; policies that override the whole procedure
+        (CodeCrunch's compression, RainbowCake's layer decay) do their
+        reclaiming off-audit.
         """
         if self.metrics is not None:
             self.metrics.counter(
@@ -335,6 +447,9 @@ class OrchestrationPolicy:
                 "Containers evicted by REPLACE decisions").inc(len(chosen))
         if self.audit is None:
             return None
+        if candidates is None:
+            candidates = list(worker.evictable_items())
+            priorities = self.priorities(candidates, now)
         victims = []
         for victim in chosen:
             entry = {"cid": victim.container_id, "func": victim.spec.name,

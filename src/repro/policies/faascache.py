@@ -29,6 +29,7 @@ from repro.policies.base import (OrchestrationPolicy, ScalingDecision)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.container import Container
+    from repro.sim.function import FunctionSpec
     from repro.sim.request import Request
     from repro.sim.worker import Worker
 
@@ -85,11 +86,13 @@ class FaasCachePolicy(OrchestrationPolicy):
 
     # -- priority ---------------------------------------------------------
 
-    def priority(self, container: "Container", now: float) -> float:
-        spec = container.spec
-        freq = self.freq.get(spec.name, 1)
-        return (container.clock
-                + freq * spec.cold_start_ms / max(spec.memory_mb, 1e-9))
+    order_key = "clock"
+
+    def group_offset(self, spec: "FunctionSpec", worker: Optional["Worker"],
+                     now: float) -> float:
+        """Eq. 1's ``Freq * Cost / Size``."""
+        return self.freq.get(spec.name, 1) * spec.cold_start_ms \
+            / max(spec.memory_mb, 1e-9)
 
 
 class FaasCacheCPolicy(FaasCachePolicy):
@@ -103,29 +106,11 @@ class FaasCacheCPolicy(FaasCachePolicy):
 
     name = "FaasCache-C"
 
-    def priority(self, container: "Container", now: float) -> float:
-        spec = container.spec
-        freq = self.freq.get(spec.name, 1)
-        worker = container.worker
+    def group_offset(self, spec: "FunctionSpec", worker: Optional["Worker"],
+                     now: float) -> float:
         k = max(worker.warm_count(spec.name), 1) if worker is not None else 1
-        return (container.clock
-                + freq * spec.cold_start_ms / (max(spec.memory_mb, 1e-9) * k))
-
-    def priorities(self, containers, now: float):
-        """Batch form: compute each function's ``K`` once."""
-        counts: Dict[str, int] = {}
-        out = []
-        for container in containers:
-            func = container.spec.name
-            if func not in counts:
-                worker = container.worker
-                counts[func] = max(worker.warm_count(func), 1) \
-                    if worker is not None else 1
-            spec = container.spec
-            out.append(container.clock
-                       + self.freq.get(func, 1) * spec.cold_start_ms
-                       / (max(spec.memory_mb, 1e-9) * counts[func]))
-        return out
+        return self.freq.get(spec.name, 1) * spec.cold_start_ms \
+            / (max(spec.memory_mb, 1e-9) * k)
 
 
 class BoundedQueueFaasCache(FaasCachePolicy):

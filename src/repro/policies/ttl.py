@@ -15,18 +15,19 @@ from __future__ import annotations
 
 import math
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.policies.base import OrchestrationPolicy
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.container import Container
 
 TEN_MINUTES_MS = 10 * 60 * 1_000.0
 
 
 class TTLPolicy(OrchestrationPolicy):
-    """Fixed-lifespan keep-alive (OpenLambda default)."""
+    """Fixed-lifespan keep-alive (OpenLambda default).
+
+    Under pressure the base recency priority reclaims the container
+    closest to expiry first.
+    """
 
     name = "TTL"
 
@@ -37,10 +38,6 @@ class TTLPolicy(OrchestrationPolicy):
             raise ValueError("ttl_ms must be positive")
         self.ttl_ms = ttl_ms
         self.maintenance_interval_ms = scan_interval_ms
-
-    def priority(self, container: "Container", now: float) -> float:
-        # Under pressure, reclaim the container closest to expiry first.
-        return container.last_used_ms
 
     def on_maintenance(self, now: float) -> None:
         assert self.ctx is not None

@@ -198,7 +198,8 @@ class Orchestrator:
                 self._faults.worker_capacity_mb(i, self.config.per_worker_mb)
                 for i in range(self.config.workers)]
         self._workers: List[Worker] = [
-            Worker(i, capacities[i], naive=self._naive, usage=self._usage)
+            Worker(i, capacities[i], naive=self._naive, usage=self._usage,
+                   order_key=policy.group_key)
             for i in range(self.config.workers)
         ]
         if self._faults is not None:

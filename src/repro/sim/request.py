@@ -14,6 +14,7 @@ completes. The simulator fills in the outcome fields (``start_ms``,
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -62,6 +63,9 @@ class Request:
 
     def __post_init__(self) -> None:
         # Negated so that NaN, which fails every comparison, is rejected.
+        if not 0 <= self.arrival_ms < math.inf:
+            raise ValueError(f"request {self.req_id}: arrival_ms must be "
+                             f"finite and >= 0, got {self.arrival_ms}")
         if not self.exec_ms >= 0:
             raise ValueError(f"request {self.req_id}: exec_ms must be "
                              f">= 0, got {self.exec_ms}")

@@ -16,6 +16,11 @@ hot-path queries — ``slot_available``, ``warm_count``, ``evictable_mb``,
 the ``*_count`` helpers — are O(1) or O(warm-of-function) instead of
 rebuilding lists by scanning every container on every call.
 
+For a policy that ranks function groups (``order_key``), each function
+also keeps its evictable containers sorted by ``(key, container_id)``,
+and the worker keeps the non-empty groups (:meth:`Worker.ordered_groups`)
+for ``make_room`` to merge.
+
 Ordering contract: ``containers`` (and each per-function registry) iterates
 in **ascending container id** — container ids are globally monotone and a
 container is admitted exactly once, right after creation. All list-returning
@@ -29,7 +34,8 @@ answer every query identically.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from bisect import bisect_left, insort
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.sim.container import Container, ContainerState
 
@@ -41,7 +47,7 @@ class _FuncIndex:
     """Per-function container registry plus per-state sub-indexes."""
 
     __slots__ = ("members", "idle", "busy", "provisioning", "compressed",
-                 "slotted")
+                 "slotted", "order", "filed")
 
     def __init__(self) -> None:
         #: All hosted containers of the function, ascending container id.
@@ -52,6 +58,12 @@ class _FuncIndex:
         self.compressed: Dict[int, Container] = {}
         #: Warm containers with at least one free execution slot.
         self.slotted: Dict[int, Container] = {}
+        #: Evictable containers as ``(key, container_id, container)``
+        #: entries in ascending order, when the worker has an order key.
+        self.order: List[Tuple[float, int, Container]] = []
+        #: Each ordered container's entry, as filed (removal looks it up
+        #: by this stored key, never by the live attribute).
+        self.filed: Dict[int, Tuple[float, int, Container]] = {}
 
     def state_dict(self, state: ContainerState
                    ) -> Optional[Dict[int, Container]]:
@@ -79,16 +91,25 @@ class Worker:
     letting the orchestrator cache the cluster-wide committed-memory sum
     between changes. ``naive=True`` switches queries to the scanning
     reference implementations.
+
+    ``order_key`` names the container attribute that orders each
+    function's evictable containers (:meth:`ordered_groups`), for a policy
+    whose REPLACE ranks function groups; ``None`` keeps no order.
     """
 
     def __init__(self, worker_id: int, capacity_mb: float,
-                 naive: bool = False, usage=None):
+                 naive: bool = False, usage=None,
+                 order_key: Optional[str] = None):
         if capacity_mb <= 0:
             raise ValueError("capacity_mb must be positive")
         self.worker_id = worker_id
         self.capacity_mb = float(capacity_mb)
         self.naive = naive
         self._usage = usage
+        self.order_key = order_key
+        #: Functions with at least one ordered evictable container, to
+        #: their ``_FuncIndex.order`` lists.
+        self._groups: Dict[str, list] = {}
         #: False while crashed (fault injection); offline workers host
         #: nothing and receive no dispatches.
         self.online = True
@@ -217,6 +238,7 @@ class Worker:
         self.containers.clear()
         self._by_func.clear()
         self._evictable.clear()
+        self._groups.clear()
         self._evictable_gen += 1
         self._reservations.clear()
         self._charge(-self._used_mb)
@@ -248,6 +270,16 @@ class Worker:
         if state in (ContainerState.IDLE, ContainerState.COMPRESSED):
             self._evictable[cid] = container
             self._evictable_gen += 1
+            key = self.order_key
+            if key is not None:
+                entry = index.filed[cid] = (getattr(container, key), cid,
+                                            container)
+                order = index.order
+                if order:
+                    insort(order, entry)
+                else:
+                    order.append(entry)
+                    self._groups[container.spec.name] = order
         self._state_mb[state._value_] += mb
 
     def _unfile(self, index: _FuncIndex, container: Container,
@@ -261,6 +293,12 @@ class Worker:
         if cid in self._evictable:
             del self._evictable[cid]
             self._evictable_gen += 1
+            entry = index.filed.pop(cid, None)
+            if entry is not None:
+                order = index.order
+                del order[bisect_left(order, entry)]
+                if not order:
+                    del self._groups[container.spec.name]
         self._state_mb[state._value_] -= mb
 
     def _on_container_event(self, container: Container,
@@ -308,6 +346,7 @@ class Worker:
             assert set(index.slotted) == slotted_truth, (
                 f"{func}/slotted: {sorted(index.slotted)} "
                 f"!= {sorted(slotted_truth)}")
+            self._check_order(func, index)
             for c in index.members.values():
                 assert self.containers.get(c.container_id) is c
                 state_mb[c.state] += c.memory_mb
@@ -317,6 +356,10 @@ class Worker:
                 seen += 1
         assert seen == len(self.containers), (
             f"registry {len(self.containers)} vs per-func {seen}")
+        groups = {func for func, index in self._by_func.items()
+                  if index.order}
+        assert set(self._groups) == groups, (
+            f"ordered groups {sorted(self._groups)} != {sorted(groups)}")
         assert set(self._evictable) == evictable_ids
         assert self.evictable_mb() == sum(
             self.containers[cid].memory_mb
@@ -336,6 +379,30 @@ class Worker:
             f"used_mb {self._used_mb} != containers+reservations "
             f"{expect_used}")
         return True
+
+    def _check_order(self, func: str, index: _FuncIndex) -> None:
+        """``index.order`` is sorted, holds each evictable container of
+        ``func`` exactly once, and every stored key is the live one."""
+        key = self.order_key
+        evictable = sorted(c.container_id for c in index.members.values()
+                           if c.is_evictable) if key is not None else []
+        order = index.order
+        assert sorted(cid for _, cid, _ in order) == evictable, (
+            f"{func}/order: {[cid for _, cid, _ in order]} "
+            f"!= evictable {evictable}")
+        assert all(order[i][:2] < order[i + 1][:2]
+                   for i in range(len(order) - 1)), (
+            f"{func}/order not sorted: {[e[:2] for e in order]}")
+        assert index.filed == {e[1]: e for e in order}, (
+            f"{func}/filed out of step with order")
+        for stored, cid, c in order:
+            live = (getattr(c, key), c.container_id)
+            assert (stored, cid) == live, (
+                f"{func}/order: container {cid} filed at key {stored!r} "
+                f"but {key} is now {live[0]!r}")
+        if order:
+            assert self._groups.get(func) is order, (
+                f"{func}: ordered group not registered")
 
     # ------------------------------------------------------------------
     # Queries
@@ -442,6 +509,12 @@ class Worker:
         if self.naive:
             return [c for c in self.containers.values() if c.is_evictable]
         return self._evictable.values()
+
+    def ordered_groups(self) -> Iterable[list]:
+        """Each function's evictable containers as ascending
+        ``(key, container_id, container)`` entries, one non-empty list per
+        function; empty unless the worker has an ``order_key``."""
+        return self._groups.values()
 
     @property
     def evictable_version(self) -> int:

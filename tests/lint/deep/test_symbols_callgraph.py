@@ -80,9 +80,12 @@ class TestWholeTree:
 
     def test_cidre_inherited_method_resolution(self):
         cidre = self.index.classes["repro.core.cidre.CIDREPolicy"]
+        offset = self.index.resolve_method(cidre, "group_offset")
+        assert offset.qualname == \
+            "repro.core.priority.CIPEvictionMixin.group_offset"
         priority = self.index.resolve_method(cidre, "priority")
         assert priority.qualname == \
-            "repro.core.priority.CIPEvictionMixin.priority"
+            "repro.policies.base.OrchestrationPolicy.priority"
         on_complete = self.index.resolve_method(cidre,
                                                 "on_request_complete")
         assert on_complete.qualname == \
@@ -92,7 +95,7 @@ class TestWholeTree:
         touch = self.index.functions[
             "repro.core.priority.CIPEvictionMixin._touch"]
         callees = {s.callee.qualname for s in self.graph.callees(touch)}
-        assert ("repro.core.priority.CIPEvictionMixin.priority"
+        assert ("repro.policies.base.OrchestrationPolicy.priority"
                 in callees)
 
     def test_orchestrator_attr_types_inferred(self):

@@ -1,5 +1,7 @@
 """Unit tests for request records and metric aggregation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,18 @@ class TestRequest:
     def test_negative_exec_rejected(self):
         with pytest.raises(ValueError):
             Request("fn", 0.0, -1.0)
+
+    def test_negative_arrival_rejected(self):
+        with pytest.raises(ValueError, match="request 7: arrival_ms"):
+            Request("fn", -1.0, 1.0, req_id=7)
+
+    def test_nan_arrival_rejected(self):
+        with pytest.raises(ValueError, match="request 7: arrival_ms"):
+            Request("fn", math.nan, 1.0, req_id=7)
+
+    def test_infinite_arrival_rejected(self):
+        with pytest.raises(ValueError, match="request 7: arrival_ms"):
+            Request("fn", math.inf, 1.0, req_id=7)
 
 
 class TestSimulationResult:

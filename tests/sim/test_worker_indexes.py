@@ -24,8 +24,10 @@ SPECS = [FunctionSpec("f0", memory_mb=100, cold_start_ms=500),
 
 
 def paired_workers(capacity_mb=10_000):
-    """An indexed worker and a naive twin fed identical transitions."""
-    return (Worker(0, capacity_mb=capacity_mb),
+    """An indexed worker and a naive twin fed identical transitions. The
+    indexed one also keeps its evictable containers in recency order, so
+    ``check_integrity`` covers the ordered function groups too."""
+    return (Worker(0, capacity_mb=capacity_mb, order_key="last_used_ms"),
             Worker(1, capacity_mb=capacity_mb, naive=True))
 
 
@@ -184,6 +186,49 @@ def test_check_integrity_detects_corruption():
     del worker._by_func["f0"].idle[c.container_id]
     with pytest.raises(AssertionError):
         worker.check_integrity()
+
+
+def test_check_integrity_reports_key_written_while_idle():
+    """An order key must not move while its container is filed: the
+    group would no longer be sorted by the live key."""
+    worker = Worker(0, capacity_mb=10_000, order_key="clock")
+    c = Container(SPECS[0], 0.0)
+    worker.add(c)
+    c.mark_ready(0.0)
+    worker.check_integrity()
+    c.clock = 5.0
+    with pytest.raises(AssertionError, match="filed at key 0.0"):
+        worker.check_integrity()
+    worker.remove(c)                   # found by its stored key
+    assert worker.check_integrity()
+
+
+def test_ordered_groups_follow_evictable_set():
+    worker = Worker(0, capacity_mb=10_000, order_key="clock")
+    containers = []
+    for clock, spec in zip((3.0, 1.0, 2.0, 1.0), SPECS + SPECS[:1]):
+        c = Container(spec, 0.0)
+        worker.add(c)
+        c.clock = clock
+        c.mark_ready(0.0)
+        containers.append(c)
+    groups = {g[0][2].spec.name: [(k, cid) for k, cid, _ in g]
+              for g in worker.ordered_groups()}
+    a, b, c, d = containers
+    assert groups == {"f0": [(1.0, d.container_id), (3.0, a.container_id)],
+                      "f1": [(1.0, b.container_id)],
+                      "f2": [(2.0, c.container_id)]}
+    b.start_request(Request("f1", 0.0, 1.0), 0.0)
+    b.clock = 9.0                      # serve-time write, while busy
+    worker.remove(c)
+    assert sorted(g[0][2].spec.name for g in worker.ordered_groups()) \
+        == ["f0"]
+    b.finish_request(b.active[0], 1.0)
+    assert [g[0][:2] for g in worker.ordered_groups()][-1] \
+        == (9.0, b.container_id)
+    worker.check_integrity()
+    worker.crash()
+    assert not list(worker.ordered_groups())
 
 
 def test_check_integrity_detects_memory_drift():
