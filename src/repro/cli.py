@@ -820,9 +820,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                     help="use the pre-index reference implementations "
                          "(scan/sort hot path; bit-identical results)")
     tr.add_argument("--fast-forward", action="store_true",
-                    help="skip idle gaps analytically (bit-identical; "
-                         "auto-disabled under --reference or with "
-                         "--timeseries-out attached)")
+                    help="advance maintenance ticks the policy proves "
+                         "inert in closed form (bit-identical; ignored "
+                         "under --reference)")
     _add_fault_args(tr)
     _add_contention_args(tr)
     tr.set_defaults(func=cmd_trace)

@@ -358,7 +358,8 @@ class CSSScalingMixin(OrchestrationPolicy):
 
     def maintenance_horizon(self, now: float) -> Optional[float]:
         """Queue re-evaluation is a provable no-op while nothing is queued:
-        the maintenance loop iterates waiting functions only."""
+        the maintenance loop iterates waiting functions only. Asked on
+        each tick under fast-forward; the empty check is O(1)."""
         if self.ctx is None or self.ctx.waiting_functions():
             return None
         return math.inf

@@ -546,14 +546,14 @@ class OrchestrationPolicy:
         """Earliest future time at which :meth:`on_maintenance` could have
         any observable effect, or ``None`` when unknown.
 
-        Consulted by the idle fast-forward
-        (``SimulationConfig.fast_forward``): maintenance ticks strictly
-        before the horizon may be replayed as no-ops. The default
-        ``None`` disables skipping entirely — only policies that can
-        *prove* their maintenance inert over a gap override this.
-        ``math.inf`` means inert until further notice; the horizon is
-        re-queried at every skip opportunity, so it only needs to hold
-        while no other event fires.
+        Under ``SimulationConfig.fast_forward`` this is asked on each
+        maintenance tick that is not skipped (with ``now`` at the tick),
+        so it should be cheap: a tick strictly before the horizon, and
+        every later tick before the next other event, is advanced as a
+        no-op. The default ``None`` disables skipping entirely — only
+        policies that can *prove* their maintenance inert override this.
+        ``math.inf`` means inert until further notice; the answer only
+        needs to hold while no other event fires.
         """
         return None
 

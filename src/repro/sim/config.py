@@ -57,16 +57,15 @@ class SimulationConfig:
         classes. ``None`` (the default) keeps the fault layer provably
         inert — the event stream is bit-identical to a faults-free build.
     fast_forward:
-        Skip idle gaps analytically on the packed-trace replay path: when
-        nothing but periodic ticks (memory sampling, policy maintenance)
-        precedes the next arrival and the policy proves its maintenance
-        inert over the gap (:meth:`~repro.policies.base.
-        OrchestrationPolicy.maintenance_horizon`), the ticks are replayed
-        in closed form instead of through the event loop. Results are
-        bit-identical either way (pinned by the differential tests); the
-        flag only trades replay fidelity mechanisms for speed on sparse
-        traces. Ignored under ``reference_impl`` and whenever a
-        time-series recorder is attached.
+        Skip maintenance ticks the policy proves inert: while no blocked
+        provision waits and a tick lies before the policy's
+        :meth:`~repro.policies.base.OrchestrationPolicy.maintenance_horizon`,
+        that tick and every later one before the next other event are
+        advanced in closed form instead of through the event loop, in
+        idle gaps and busy periods alike. Results are bit-identical
+        either way (pinned by the differential tests); the flag only
+        trades replay mechanism for speed. Ignored under
+        ``reference_impl``.
     contention:
         Optional :class:`~repro.sim.contention.ContentionModel`: each
         worker gets a CPU core budget and co-located in-flight

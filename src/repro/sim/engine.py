@@ -39,17 +39,23 @@ retries, crashes, periodic ticks) — typically a few hundred entries
 instead of one per trace row — so every push/pop is cheaper and the
 up-front O(n) scheduling pass disappears. Remaining stream rows count as
 real events for liveness, keeping periodic-tick self-termination
-identical. :meth:`Simulator.advance_periodic` additionally lets the
-orchestrator's idle fast-forward replay runs of periodic ticks
-analytically (see ``SimulationConfig.fast_forward``) while burning
-sequence numbers and heap order exactly as if each tick had fired.
+identical.
+
+Inert periodic ticks (see ``SimulationConfig.fast_forward``): a periodic
+handle may carry a ``horizon`` callable, returning the time before which
+its ticks are provably no-ops, or ``None`` when that is unknown. When the
+run loop pops such a tick below the horizon while real events remain, it
+hands the run to :meth:`Simulator.advance_periodic`, which advances that
+tick and every later tick of the handle before the next other event in
+one step, drawing sequence numbers, counting ``processed`` and leaving
+the heap exactly as if each tick had fired.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from math import inf
+from math import inf, nextafter
 from typing import Any, Callable, Optional
 
 
@@ -144,10 +150,6 @@ class Simulator:
         self._stream_dispatch = None
         self._stream_pos = 0
         self._stream_len = 0
-        #: Optional idle fast-forward hook, called with the next stream
-        #: arrival time when only periodic ticks precede it; returns the
-        #: number of ticks it advanced analytically (0 = run normally).
-        self.fast_forward_hook: Optional[Callable[[float], int]] = None
 
     @property
     def now(self) -> float:
@@ -190,7 +192,8 @@ class Simulator:
         The callback keeps rescheduling itself for as long as other (non
         periodic) events remain pending, so periodic maintenance never keeps
         a simulation alive on its own. Returns a handle whose ``cancel()``
-        stops the whole chain.
+        stops the whole chain. The owner may set the handle's
+        ``horizon`` afterwards (see :meth:`run`).
         """
         if interval <= 0:
             raise ValueError("interval must be positive")
@@ -277,6 +280,14 @@ class Simulator:
             raise ValueError(self._bad_time("draw a key", time))
         return next(self._seq)
 
+    def draw_seqs(self, n: int) -> int:
+        """Draw ``n`` consecutive sequence numbers at once and return the
+        first. Equivalent to ``n`` :meth:`draw_seq` calls, minus their
+        time checks, which the caller makes itself."""
+        first = next(self._seq)
+        self._seq = itertools.count(first + n)
+        return first
+
     def queue_at(self, event: Event, time: float, seq: int,
                  args: Optional[tuple] = None, push: bool = True) -> None:
         """Queue ``event`` under the key ``(time, seq)`` drawn earlier
@@ -354,9 +365,17 @@ class Simulator:
         tie, and equal-timestamp rows dispatch as one batch in row order
         (see the module docstring for why this is bit-identical to the
         classic all-events-up-front schedule).
+
+        A live periodic tick whose handle has a ``horizon`` is offered to
+        it while real events remain. When the tick lies strictly before
+        the horizon it returns, the loop hands the run to
+        :meth:`advance_periodic`, bounded by that horizon, the next
+        stream row and ``until``; each advanced tick is one the classic
+        loop would have fired as a no-op.
         """
         self._running = True
         heap = self._heap
+        stop = inf if until is None else nextafter(until, inf)
         try:
             while True:
                 si = self._stream_pos
@@ -377,32 +396,38 @@ class Simulator:
                         self.processed += j - si
                         self._stream_dispatch(si, j)
                         continue
-                    # Heap events strictly precede the next arrival. If
-                    # they are all periodic ticks, offer the gap to the
-                    # fast-forward hook; a zero return means the hook
-                    # declined and the ticks run normally below.
-                    if (self.fast_forward_hook is not None
-                            and until is None and self._real == 0
-                            and self.fast_forward_hook(t_arr)):
-                        continue
                 if not heap:
                     break
-                entry = heapq.heappop(heap)
+                entry = heap[0]
                 event = entry[2]
-                if event.cancelled:
-                    # Counters were adjusted when cancel() ran.
+                if event.cancelled or entry[1] != event.seq:
+                    # Cancelled (counters were adjusted when cancel()
+                    # ran) or stale, left behind by reschedule()/
+                    # queue_at(): the event lives on under its newer key.
+                    heapq.heappop(heap)
                     continue
-                if entry[1] != event.seq:
-                    # Stale entry left behind by reschedule()/queue_at():
-                    # the event lives on under its newer (time, seq) key.
-                    continue
-                if until is not None and event.time > until:
-                    # Put it back: the caller may resume later. The event
-                    # stays queued, so the counters are untouched.
-                    heapq.heappush(heap, entry)
+                time = entry[0]
+                if time >= stop:
+                    # Past ``until``: the event stays queued for a later
+                    # resume, so the counters are untouched.
                     self._now = until
                     return
-                if event.time < self._now:  # pragma: no cover - invariant
+                if not event.real:
+                    handle = event.callback
+                    if (handle.horizon is not None and not handle.stopped
+                            and self._has_real_events()):
+                        self._now = time
+                        horizon = handle.horizon()
+                        if horizon is not None and time < horizon:
+                            boundary = horizon if horizon < stop else stop
+                            if si < self._stream_len:
+                                t_arr = self._stream_times[si]
+                                if t_arr < boundary:
+                                    boundary = t_arr
+                            self.advance_periodic(boundary, {handle: None})
+                            continue
+                heapq.heappop(heap)
+                if time < self._now:  # pragma: no cover - invariant
                     raise RuntimeError("event time went backwards")
                 self._live -= 1
                 if event.real:
@@ -411,61 +436,94 @@ class Simulator:
                 # a periodic handle cancelled after its last tick) cannot
                 # decrement the counters a second time.
                 event._sim = None
-                self._now = event.time
+                self._now = time
                 self.processed += 1
                 event.callback(*event.args)
         finally:
             self._running = False
 
     def advance_periodic(self, boundary: float, replay: dict) -> int:
-        """Replay periodic ticks strictly before ``boundary`` analytically.
+        """Advance periodic ticks strictly before ``boundary`` in closed
+        form.
 
-        The caller (the orchestrator's idle fast-forward hook) guarantees
-        that every live heap event before ``boundary`` is a periodic tick
-        whose :class:`_PeriodicHandle` is a key of ``replay``. Each mapped
-        value is either ``None`` — the tick is provably a no-op over the
-        gap — or a cheap callable invoked in its place (it must not
-        schedule events). Per tick the clock, ``processed`` counter and
-        one sequence number are advanced exactly as if the tick had fired
-        through :meth:`run`, and the handle's next tick is rescheduled at
-        ``time + interval`` by reusing the popped entry — so heap contents
-        and every future (time, seq) tie-break stay bit-identical to the
-        classic run. A tick scheduled exactly at ``boundary`` is left to
-        fire normally. Encountering an event whose callback is not in
-        ``replay`` aborts the skip; the run loop then proceeds normally.
+        ``replay`` maps each :class:`_PeriodicHandle` whose ticks are
+        provably no-ops before ``boundary`` to ``None``. The caller
+        guarantees that nothing else fires before ``boundary``: no stream
+        row precedes it, and real events remain queued throughout, so
+        the classic loop would fire and re-arm every one of those ticks.
+
+        While the live heap head is a tick of a mapped handle before
+        ``boundary``, the run of that handle's ticks up to the next other
+        heap event is advanced in one step. A tick that ties that event
+        goes after it: its sequence number, drawn by the tick before it,
+        is newer than any already queued. The run's times come from
+        repeated float addition, exactly as each tick re-arms at
+        ``now + interval``; the clock ends on the last advanced tick,
+        ``processed`` and the sequence counter move by the run's length,
+        and the handle's event is pushed once, under the key the last
+        tick would have drawn. A stopped handle's tick is popped without
+        re-arming, as the classic loop fires it. Cancelled and stale
+        entries before ``boundary`` are dropped as the loop would drop
+        them. Heap contents and every future ``(time, seq)`` tie-break
+        therefore stay bit-identical to firing each tick.
 
         Returns the number of ticks advanced.
         """
         heap = self._heap
         advanced = 0
-        while heap and heap[0][0] < boundary:
+        while heap:
             time0, seq0, event = heap[0]
             if event.cancelled or seq0 != event.seq:
-                # Cancelled or stale-after-reschedule: lazy-deleted here
-                # exactly as the run loop would.
+                # Dropped as the run loop would drop it. A dead entry at
+                # or past the boundary stays: whatever fires there may
+                # revive it (queue_at with push=False).
+                if time0 >= boundary:
+                    break
                 heapq.heappop(heap)
                 continue
+            if time0 >= boundary:
+                break
             handle = event.callback
-            if handle not in replay:
+            if event.real or handle not in replay:
                 break
             heapq.heappop(heap)
-            self._now = time0
-            self.processed += 1
-            advanced += 1
             if handle.stopped:
-                # Mirrors the classic pop of a stopped-but-uncancelled
-                # tick: it fires as a no-op and does not reschedule.
+                # The classic pop of a stopped-but-uncancelled tick: it
+                # fires as a no-op and does not re-arm.
+                self._now = time0
+                self.processed += 1
+                advanced += 1
                 self._live -= 1
                 event._sim = None
                 continue
-            fn = replay[handle]
-            if fn is not None:
-                fn()
-            # Reschedule by reusing the popped entry: net counter change
-            # is zero (one pop, one push), matching the classic tick.
-            event.time = time0 + handle.interval
-            event.seq = next(self._seq)
-            heapq.heappush(heap, (event.time, event.seq, event))
+            # The run ends before the next live heap entry; drop the
+            # dead entries below the boundary ahead of it first.
+            limit = boundary
+            while heap:
+                head_time, head_seq, head = heap[0]
+                if head_time >= limit:
+                    break
+                if head.cancelled or head_seq != head.seq:
+                    heapq.heappop(heap)
+                    continue
+                limit = head_time
+                break
+            interval = handle.interval
+            time = time0
+            n = 1
+            after = time + interval
+            while after < limit:
+                time = after
+                n += 1
+                after = time + interval
+            self._now = time
+            self.processed += n
+            advanced += n
+            # Re-arm by reusing the popped entry: net counter change is
+            # zero, as for n classic pop/push pairs.
+            event.time = after
+            event.seq = self.draw_seqs(n) + n - 1
+            heapq.heappush(heap, (after, event.seq, event))
             handle.event = event
         return advanced
 
@@ -502,7 +560,8 @@ class _Periodic:
 class _PeriodicHandle(_Periodic):
     """Self-rescheduling wrapper created by :meth:`Simulator.every`."""
 
-    __slots__ = ("sim", "interval", "callback", "args", "event", "stopped")
+    __slots__ = ("sim", "interval", "callback", "args", "event", "stopped",
+                 "horizon")
 
     def __init__(self, sim: Simulator, interval: float,
                  callback: Callable[..., Any], args: tuple):
@@ -512,6 +571,10 @@ class _PeriodicHandle(_Periodic):
         self.args = args
         self.event: Optional[Event] = None
         self.stopped = False
+        #: Optional ``() -> float | None``: the time before which this
+        #: handle's ticks are provably no-ops in the current state, or
+        #: ``None`` when unknown (see :meth:`Simulator.run`).
+        self.horizon: Optional[Callable[[], Optional[float]]] = None
 
     @property
     def __name__(self) -> str:  # pragma: no cover - debug aid

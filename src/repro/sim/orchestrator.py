@@ -28,6 +28,7 @@ import random
 import zlib
 from collections import deque
 from dataclasses import dataclass
+from math import inf
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.sim.config import SimulationConfig
@@ -253,6 +254,8 @@ class Orchestrator:
         self._restart_times: List[float] = []
         self._waiters: Dict[str, Deque[_Waiter]] = {}
         self._unserved: Dict[str, int] = {}
+        #: Functions whose ``_unserved`` count is non-zero.
+        self._n_waiting = 0
         self._committed: Dict[int, Deque[_Waiter]] = {}
         #: Blocked provisions in FIFO order; retry passes consume the head.
         self._pending: Deque[_PendingProvision] = deque()
@@ -269,9 +272,6 @@ class Orchestrator:
         #: Packed-trace replay state (set by :meth:`run`).
         self._packed = None
         self._materialized: List[Request] = []
-        #: Idle fast-forward state (set by :meth:`run` when enabled).
-        self._ff_replay: Dict = {}
-        self._ff_maintenance = None
         if audit is not None:
             policy.audit = audit
         if metrics is not None:
@@ -339,6 +339,8 @@ class Orchestrator:
 
     def waiting_functions(self) -> List[str]:
         """Functions with at least one unserved queued request."""
+        if not self._n_waiting:
+            return []
         return [func for func, count in self._unserved.items() if count]
 
     def provisions_in_flight(self, func: str) -> int:
@@ -497,22 +499,11 @@ class Orchestrator:
         if self.recorder is not None:
             self.sim.every(self.recorder.interval_ms,
                            self.recorder.sample, self, start_delay=0.0)
-        if (self.config.fast_forward and not self._naive
-                and self.recorder is None):
-            # Replay table for analytically advanced idle-gap ticks: the
-            # sampler re-runs its (cheap, cache-served) callback so the
-            # time series stays sample-for-sample identical; maintenance
-            # ticks are proven no-ops by the policy's horizon and skip
-            # the policy call entirely. The recorder is never replayed —
-            # attaching one disables fast-forward outright.
-            self._ff_maintenance = maintenance
-            replay = {}
-            if sampler is not None:
-                replay[sampler] = self._sample_memory
-            if maintenance is not None:
-                replay[maintenance] = None
-            self._ff_replay = replay
-            self.sim.fast_forward_hook = self._fast_forward
+        if (maintenance is not None and self.config.fast_forward
+                and not self._naive
+                and type(self.policy).maintenance_horizon
+                is not OrchestrationPolicy.maintenance_horizon):
+            maintenance.horizon = self._maintenance_horizon
         self.sim.run()
         self._finalize(ordered)
         return self.metrics.result()
@@ -532,31 +523,14 @@ class Orchestrator:
             materialized.append(request)
             on_arrival(request)
 
-    def _fast_forward(self, next_arrival: float) -> int:
-        """Idle fast-forward hook (see ``SimulationConfig.fast_forward``).
-
-        The engine calls this only when undispatched stream rows remain,
-        no real (non-periodic) heap events exist, and at least one
-        periodic tick precedes ``next_arrival``. Skipping is sound only
-        when additionally (a) no blocked provision is waiting — a skipped
-        tick never reaches :meth:`_schedule_retry`, which schedules a
-        retry pass unless the retry state is unchanged since the last
-        pass that did nothing — and (b) the policy proves its maintenance
-        inert up to a horizon. Returns the number of ticks advanced (0 =
-        run the gap through the event loop).
-        """
+    def _maintenance_horizon(self) -> Optional[float]:
+        """The maintenance handle's horizon under fast-forward: the time
+        before which a tick provably does nothing. A tick with blocked
+        provisions waiting may schedule a retry pass, so none is inert
+        then; otherwise the policy's own proof decides."""
         if self._pending:
-            return 0
-        boundary = next_arrival
-        if self._ff_maintenance is not None:
-            horizon = self.policy.maintenance_horizon(self.sim.now)
-            if horizon is None:
-                return 0
-            if horizon < boundary:
-                boundary = horizon
-        if boundary <= self.sim.now:
-            return 0
-        return self.sim.advance_periodic(boundary, self._ff_replay)
+            return None
+        return self.policy.maintenance_horizon(self.sim.now)
 
     # ==================================================================
     # Arrival path
@@ -777,8 +751,7 @@ class Orchestrator:
             restart_at = self._next_restart()
             if restart_at is None:
                 waiter.served = True
-                self._unserved[request.func] -= 1
-                self._touch(request.func)
+                self._unserve(request.func)
                 self._fail_request(request, "no-online-workers")
             else:
                 self.sim.at(restart_at, self._rebind_waiter, waiter)
@@ -827,8 +800,7 @@ class Orchestrator:
                 if waiter.served or waiter.bound is not None:
                     continue
                 waiter.served = True
-                self._unserved[func] -= 1
-                self._touch(func)
+                self._unserve(func)
                 self.sim.schedule(0.0, self._on_reassigned, waiter.request)
 
     # ==================================================================
@@ -966,15 +938,25 @@ class Orchestrator:
     def _enqueue_waiter(self, waiter: _Waiter) -> None:
         func = waiter.request.func
         self._waiters.setdefault(func, deque()).append(waiter)
-        self._unserved[func] = self._unserved.get(func, 0) + 1
+        count = self._unserved.get(func, 0) + 1
+        self._unserved[func] = count
+        if count == 1:
+            self._n_waiting += 1
+        self._touch(func)
+
+    def _unserve(self, func: str) -> None:
+        """One waiter of ``func`` was served or dropped."""
+        count = self._unserved[func] - 1
+        self._unserved[func] = count
+        if not count:
+            self._n_waiting -= 1
         self._touch(func)
 
     def _serve(self, container: Container, waiter: _Waiter,
                start_type: StartType) -> None:
         func = waiter.request.func
         waiter.served = True
-        self._unserved[func] -= 1
-        self._touch(func)
+        self._unserve(func)
         if (waiter.committed is not None
                 and waiter.committed is not container):
             # Served elsewhere: trim dead references from the ends of the
@@ -1126,7 +1108,10 @@ class Orchestrator:
             return None
         rate = self._slowdown(worker_id, None, busy, now)
         overridden = self._overridden
-        draw_seq = self.sim.draw_seq
+        # Re-keyed ledgers with their new times. Their sequence numbers
+        # are drawn below as one block, in table order: the values
+        # per-ledger draw_seq calls would have drawn.
+        moved = []
         head = None
         for state in table.values():
             if overridden and state.request.func in overridden:
@@ -1145,10 +1130,19 @@ class Orchestrator:
                 if slowdown != 1.0:
                     state.slowed = True
                 time = now + state.remaining_ms * slowdown
-                state.key = (time, draw_seq(time))
+                if not now <= time < inf:
+                    raise ValueError(self.sim._bad_time("draw a key", time))
+                moved.append((state, time))
                 state.queued = False
-            if head is None or state.key < head.key:
+            elif head is None or state.key < head.key:
                 head = state
+        if moved:
+            seq = self.sim.draw_seqs(len(moved))
+            for state, time in moved:
+                state.key = (time, seq)
+                seq += 1
+                if head is None or state.key < head.key:
+                    head = state
         return head
 
     def _place_head(self, worker_id: int, state: _ExecProgress) -> None:

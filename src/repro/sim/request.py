@@ -69,6 +69,10 @@ class Request:
         if not self.exec_ms >= 0:
             raise ValueError(f"request {self.req_id}: exec_ms must be "
                              f">= 0, got {self.exec_ms}")
+        if self.exec_ms == math.inf:
+            raise ValueError(f"request {self.req_id}: non-finite exec_ms "
+                             f"{self.exec_ms}; the execution would never "
+                             f"complete")
 
     # Derived metrics ----------------------------------------------------
 

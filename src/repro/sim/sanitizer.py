@@ -266,8 +266,8 @@ class SimSanitizer:
     # -- consistency checks --------------------------------------------
 
     def run_checks(self, orchestrator: Orchestrator) -> None:
-        """Worker-index, engine-counter, heap-invariant and
-        completion-head assertions."""
+        """Worker-index, engine-counter, heap-invariant, waiting-count
+        and completion-head assertions."""
         self.checks_run += 1
         for worker in orchestrator.workers():
             try:
@@ -290,6 +290,13 @@ class SimSanitizer:
                 raise SanitizerError(
                     f"engine heap invariant violated at index {i}: "
                     f"{heap[i][:2]} < parent {heap[parent][:2]}")
+        # An integer count, so its summation order cannot matter.
+        counts = orchestrator._unserved
+        waiting = sum(1 for c in counts.values() if c)  # repro-lint: disable=FPX002
+        if waiting != orchestrator._n_waiting:
+            raise SanitizerError(
+                f"waiting-function count {orchestrator._n_waiting} "
+                f"diverged from scan {waiting}")
         self._check_completion_heads(orchestrator)
 
     @staticmethod

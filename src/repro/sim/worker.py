@@ -41,6 +41,11 @@ from repro.sim.container import Container, ContainerState
 
 #: States a warm-start candidate may be in.
 _WARM_STATES = (ContainerState.IDLE, ContainerState.BUSY)
+#: Capacity below which integral running memory totals stay exact. Each
+#: total is at most the hosted footprint, which stays within capacity;
+#: 2**52 keeps a factor of two below 2**53, where float addition of
+#: integers stops being exact.
+_EXACT_LIMIT = 2.0 ** 52
 
 
 class _FuncIndex:
@@ -126,7 +131,9 @@ class Worker:
         # and flip exact-boundary infeasibility checks in make_room, so the
         # total is instead *recomputed in the reference's exact summation
         # order* on the first query after a mutation and served O(1) from
-        # the cache until the evictable set changes again.
+        # the cache until the evictable set changes again. While every
+        # footprint ever filed here is integral (see ``_integral``), the
+        # running totals are exact and serve the query directly.
         self._evictable_gen = 0
         self._evictable_mb_gen = -1
         self._evictable_mb_cache = 0.0
@@ -137,6 +144,12 @@ class Worker:
         #: these totals move on every container transition.
         self._state_mb: Dict[str, float] = {
             state._value_: 0.0 for state in ContainerState}
+        #: True while every footprint filed on this worker has been an
+        #: integer and the capacity is below ``_EXACT_LIMIT``. Each
+        #: running total in ``_state_mb`` is then a sum of integers below
+        #: 2**53, which float addition computes exactly, in any order.
+        #: Sticky: one fractional footprint turns it off for good.
+        self._integral = self.capacity_mb < _EXACT_LIMIT
 
     # ------------------------------------------------------------------
     # Memory accounting
@@ -280,6 +293,8 @@ class Worker:
                 else:
                     order.append(entry)
                     self._groups[container.spec.name] = order
+        if mb % 1:
+            self._integral = False
         self._state_mb[state._value_] += mb
 
     def _unfile(self, index: _FuncIndex, container: Container,
@@ -524,12 +539,18 @@ class Worker:
     def evictable_mb(self) -> float:
         """Total reclaimable memory.
 
-        O(1) between evictable-set changes; recomputed (ascending container
-        id, matching the reference's summation order bit-for-bit) on the
-        first call after a change.
+        O(1) while every footprint filed here is integral: the running
+        idle and compressed totals are then exact, so their sum equals
+        the ascending-id sum bit for bit. Otherwise O(1) between
+        evictable-set changes, and recomputed in ascending container id
+        order (the reference's summation order) on the first call after
+        a change.
         """
         if self.naive:
             return sum(c.memory_mb for c in self.evictable())
+        if self._integral:
+            state_mb = self._state_mb
+            return state_mb["idle"] + state_mb["compressed"]
         if self._evictable_mb_gen != self._evictable_gen:
             self._evictable_mb_cache = sum(
                 self._evictable[cid].memory_mb

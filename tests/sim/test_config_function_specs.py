@@ -84,6 +84,11 @@ class TestRequestIds:
                            match="request 12: exec_ms must be >= 0, got nan"):
             Request("f", 1.0, float("nan"), req_id=12)
 
+    def test_rejects_infinite_exec_time_naming_the_request(self):
+        with pytest.raises(ValueError,
+                           match="request 7: non-finite exec_ms inf"):
+            Request("f", 1.0, float("inf"), req_id=7)
+
     def test_start_type_enum_values(self):
         assert {t.value for t in StartType} \
             == {"warm", "delayed", "cold"}

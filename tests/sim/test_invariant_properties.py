@@ -233,7 +233,7 @@ def test_chaos_reference_impl_bit_identical(case_idx, policy_name):
 @pytest.mark.parametrize("policy_name", sorted(POLICIES))
 @pytest.mark.parametrize("case_idx", range(N_SAMPLES))
 def test_chaos_packed_replay_bit_identical(case_idx, policy_name):
-    """The packed arrival stream (and the idle fast-forward) survive
+    """The packed arrival stream (and the fast-forward) survive
     chaos: crashes defer batched arrivals, retries re-enter the heap —
     outcomes must still match the classic request-list replay exactly."""
     trace, config = CHAOS_CASES[case_idx]
@@ -339,7 +339,7 @@ def test_contention_conservation_invariants(case_idx, policy_name):
 @pytest.mark.parametrize("policy_name", sorted(POLICIES))
 @pytest.mark.parametrize("case_idx", range(N_SAMPLES))
 def test_contention_packed_replay_bit_identical(case_idx, policy_name):
-    """Packed arrivals and the idle fast-forward replay contention runs
+    """Packed arrivals and the fast-forward replay contention runs
     exactly: each busy worker's completion event is a real heap event,
     so the analytic skip can never jump over a retiming."""
     trace, config = CONTENTION_CASES[case_idx]

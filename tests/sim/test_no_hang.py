@@ -2,7 +2,8 @@
 
 An ``inf`` execution time used to park a completion at ``t = inf``, and
 periodic ticks then kept the clock crawling towards it forever; a NaN
-arrival did the same through the arrival stream. The engine now refuses
+arrival did the same through the arrival stream. ``Request`` now refuses
+an infinite ``exec_ms``, naming the request, and the engine refuses
 non-finite times at ``at``/``reschedule``/``bind_stream``. Every test
 here runs under a wall-clock alarm so a regression fails rather than
 hangs the suite.
@@ -59,8 +60,9 @@ def _replay(trace, packed: bool, **config):
 @pytest.mark.parametrize("packed", [True, False])
 @pytest.mark.parametrize("contention", [None, ContentionModel(cores=1)])
 def test_infinite_exec_time_raises(packed, contention):
-    trace = _trace([0.0, 10.0, 20.0], [5.0, math.inf, 5.0])
+    # Construction raises now, so the trace is built inside the check.
     with _deadline(), pytest.raises(ValueError, match="non-finite"):
+        trace = _trace([0.0, 10.0, 20.0], [5.0, math.inf, 5.0])
         _replay(trace, packed, contention=contention)
 
 

@@ -1,6 +1,7 @@
 """Differential tests for the packed-trace replay fast path.
 
-The batched arrival stream and the analytic idle fast-forward promise
+The batched arrival stream and the closed-form advance of inert
+maintenance ticks (fast-forward) promise
 *bit-identical* outcomes versus the classic schedule-everything-up-front
 replay — same tie-breaking, same eviction order, same floats, same
 event-log sequence. These tests replay the golden workload grid three
@@ -13,7 +14,8 @@ Engine-level unit tests pin the stream merge rules documented in
 :mod:`repro.sim.engine` (stream wins same-timestamp ties, equal rows
 batch, liveness counts stream rows) and the ``advance_periodic``
 contract the fast-forward is built on (seq burning, reschedule-by-reuse,
-stopped/cancelled/unknown-callback edges).
+stopped/cancelled/unknown-callback edges). ``tests/sim/test_inert_ticks.py``
+pins the run loop's use of it.
 """
 
 import numpy as np
@@ -139,25 +141,40 @@ def test_packed_and_fast_forward_match_reference(case, policy_name):
         assert orch.sim._stream_remaining() == 0
 
 
-def test_fast_forward_disabled_with_recorder():
-    """A time-series recorder samples idle gaps, so ff must stand down."""
+def test_fast_forward_with_recorder_skips_ticks_and_matches_classic():
+    """A recorder's periodic has no horizon, so it samples every tick,
+    while maintenance ticks proven inert are still skipped; outputs
+    equal the classic run's."""
+    import json
     from repro.sim.telemetry import TimeSeriesRecorder
     trace, capacity_gb = CASES["synth-bursty"]
-    config = SimulationConfig(capacity_gb=capacity_gb, fast_forward=True)
-    policy = policy_factories()["TTL"](trace)
-    orch = Orchestrator(trace.functions, policy, config,
-                        recorder=TimeSeriesRecorder())
-    orch.run(trace.packed())
-    assert orch.sim.fast_forward_hook is None
+    runs = {}
+    for fast_forward in (False, True):
+        config = SimulationConfig(capacity_gb=capacity_gb,
+                                  fast_forward=fast_forward)
+        recorder = TimeSeriesRecorder()
+        log = EventLog()
+        orch = Orchestrator(trace.functions,
+                            policy_factories()["CIDRE"](trace), config,
+                            event_log=log, recorder=recorder)
+        skipped = [0]
+        advance = orch.sim.advance_periodic
 
+        def counted(boundary, replay, advance=advance, skipped=skipped):
+            ticks = advance(boundary, replay)
+            skipped[0] += ticks
+            return ticks
 
-def test_fast_forward_armed_without_recorder():
-    trace, capacity_gb = CASES["synth-bursty"]
-    config = SimulationConfig(capacity_gb=capacity_gb, fast_forward=True)
-    policy = policy_factories()["TTL"](trace)
-    orch = Orchestrator(trace.functions, policy, config)
-    orch.run(trace.packed())
-    assert orch.sim.fast_forward_hook is not None
+        orch.sim.advance_periodic = counted
+        result = orch.run(trace.packed())
+        runs[fast_forward] = (
+            skipped[0], result.summary(), _request_tuples(result),
+            _normalized_events(log), json.dumps(recorder.as_dict()),
+            orch.sim.processed, next(orch.sim._seq))
+    classic, ff = runs[False], runs[True]
+    assert classic[0] == 0
+    assert ff[0] > 0, "no maintenance tick was skipped"
+    assert ff[1:] == classic[1:]
 
 
 def test_reference_impl_ignores_packed_stream():
@@ -313,13 +330,6 @@ class TestAdvancePeriodic:
         assert ff.processed == classic.processed
         assert next(ff._seq) == next(classic._seq)
 
-    def test_replay_callable_invoked_per_tick(self):
-        sim = Simulator()
-        handle = sim.every(10.0, lambda: None)
-        fired = []
-        sim.advance_periodic(25.0, {handle: lambda: fired.append(sim.now)})
-        assert fired == [10.0, 20.0]
-
     def test_tick_exactly_at_boundary_left_alone(self):
         sim = Simulator()
         handle = sim.every(10.0, lambda: None)
@@ -355,11 +365,11 @@ class TestAdvancePeriodic:
 #
 # Every fault mechanism leaves *real* (non-periodic) heap events behind
 # — running executions, provision readies, pending restarts, armed
-# straggler-window boundaries — so the engine's `_real == 0` gate never
-# offers the hook a gap the fault layer still owns, and the orchestrator
-# additionally refuses while blocked provisions wait. These
-# differentials prove it end to end: chaos replay under fast-forward is
-# bit-identical to the classic reference replay.
+# straggler-window boundaries — and a run of inert ticks ends at the
+# next of them, while the maintenance horizon refuses outright while
+# blocked provisions wait. These differentials prove it end to end:
+# chaos replay under fast-forward is bit-identical to the classic
+# reference replay.
 
 
 @pytest.mark.parametrize("policy_name", ("TTL", "CIDRE"))

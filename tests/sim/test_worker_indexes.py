@@ -276,6 +276,67 @@ def test_evictable_mb_tracks_membership():
     fast.check_integrity()
 
 
+def _id_order_evictable_mb(worker):
+    return sum(worker.containers[cid].memory_mb
+               for cid in sorted(worker.containers)
+               if worker.containers[cid].is_evictable)
+
+
+def _compress(worker, container, fraction):
+    old_mb = container.memory_mb
+    container.compress(fraction)
+    worker.recharge(container, old_mb)
+
+
+def test_evictable_mb_integral_footprints_use_running_totals():
+    """Integer footprints keep the running totals exact, so they serve
+    ``evictable_mb`` directly and still equal the id-order sum."""
+    worker = Worker(0, capacity_mb=10_000)
+    containers = []
+    for spec in SPECS * 3:
+        c = Container(spec, 0.0)
+        worker.add(c)
+        c.mark_ready(0.0)
+        containers.append(c)
+    _compress(worker, containers[1], 0.5)   # 150 -> 75.0 MB, integral
+    worker.remove(containers[3])
+    assert worker._integral
+    assert worker.evictable_mb() == _id_order_evictable_mb(worker) == 755.0
+    worker.check_integrity()
+
+
+def test_evictable_mb_fractional_footprint_falls_back():
+    """CodeCrunch's default 0.35 compression leaves fractional
+    footprints. Compressed in reverse id order, the running total
+    drifts from the id-order sum, so the worker must fall back to that
+    sum, and stays on it (the flag is sticky)."""
+    from repro.policies.codecrunch import CodeCrunchPolicy
+    fraction = CodeCrunchPolicy().compressed_fraction
+    worker = Worker(0, capacity_mb=10_000)
+    containers = []
+    for i, mb in enumerate((101, 103, 109, 127)):
+        c = Container(FunctionSpec(f"g{i}", memory_mb=mb,
+                                   cold_start_ms=100.0), 0.0)
+        worker.add(c)
+        c.mark_ready(0.0)
+        containers.append(c)
+    for c in reversed(containers):
+        _compress(worker, c, fraction)
+    running = (worker.state_mb(ContainerState.IDLE)
+               + worker.state_mb(ContainerState.COMPRESSED))
+    assert running != _id_order_evictable_mb(worker)   # the drift is real
+    assert not worker._integral
+    assert worker.evictable_mb() == _id_order_evictable_mb(worker)
+    worker.check_integrity()
+    for c in containers:
+        old_mb = c.memory_mb
+        c.decompress()                  # integral again, flag stays off
+        worker.recharge(c, old_mb)
+    assert not worker._integral
+    assert worker.evictable_mb() == _id_order_evictable_mb(worker)
+    worker.check_integrity()
+
+
 class TestEngineCounters:
     """O(1) liveness counters vs full-heap scans."""
 
