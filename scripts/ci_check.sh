@@ -100,6 +100,22 @@ fi
 grep -q "sanitizer: ok" "$tmpdir/sanitizer.log"
 echo "sanitized replay matches plain replay bit-for-bit"
 
+echo "== sanitized contention smoke (progress mode under --sanitize) =="
+# Progress mode defers a completion's neighbour retime to the start that
+# takes over its slot; the sanitizer exempts that worker's completion
+# event only while the handler runs and checks the CSS worklist.
+cont_run=(run --preset azure --requests 1500 --seed 3 --policy CIDRE
+          --capacity-gb 2 --contention-cores 4)
+python -m repro.cli "${cont_run[@]}" > "$tmpdir/cont-run-plain.txt"
+python -m repro.cli "${cont_run[@]}" --sanitize \
+    > "$tmpdir/cont-run-sanitized.txt" 2> "$tmpdir/cont-run-sanitizer.log"
+if ! cmp "$tmpdir/cont-run-plain.txt" "$tmpdir/cont-run-sanitized.txt"; then
+    echo "FATAL: sanitized contention replay diverged from the plain one" >&2
+    exit 1
+fi
+grep -q "sanitizer: ok" "$tmpdir/cont-run-sanitizer.log"
+echo "sanitized contention replay matches plain replay bit-for-bit"
+
 echo "== decision-audit smoke (audit verb artifacts) =="
 python -m repro.cli audit --preset azure --requests 1500 --seed 3 \
     --policy CIDRE --capacity-gb 2 \

@@ -102,10 +102,16 @@ class CSSScalingMixin(OrchestrationPolicy):
         #: Open-gate functions whose last maintenance-time backlog cover
         #: found nothing to provision, with no count change since.
         self._covered: Set[str] = set()
+        #: Functions the next tick must look at besides those changed
+        #: since the last one: every waiting function that is not
+        #: covered is here or changed (see :meth:`on_maintenance`).
+        self._worklist: Set[str] = set()
 
     def bind(self, ctx: PolicyContext) -> None:
         super().bind(ctx)
-        self._covered.clear()  # change records are per orchestrator
+        # Change records are per orchestrator.
+        self._covered.clear()
+        self._worklist.clear()
 
     # ------------------------------------------------------------------
     # Window helpers
@@ -235,7 +241,10 @@ class CSSScalingMixin(OrchestrationPolicy):
         """Flip the per-function gate, noting the transition."""
         self._bss_enabled[func] = enabled
         if not enabled:
+            # A closed gate needs a visit on every tick: its window
+            # statistics age with time, not with count changes.
             self._covered.discard(func)
+            self._worklist.add(func)
         if self.metrics is not None:
             self.metrics.counter(
                 "repro_bss_gate_flips_total",
@@ -324,21 +333,27 @@ class CSSScalingMixin(OrchestrationPolicy):
         *new* arrival. Without this, disabling BSS would strand queued
         requests behind however many busy containers happen to exist.
 
-        Functions are visited in ``waiting_functions()`` order, except
-        that an open-gate function whose last cover here found nothing to
-        provision is skipped until the orchestrator reports a change to
-        its unserved-waiter or in-flight count: the cover reads only those
-        two counts, so it would find nothing again.
+        Waiting functions are visited in ``waiting_functions()`` order,
+        except that an open-gate function whose last cover here found
+        nothing to provision is *covered*: it is passed over until the
+        orchestrator reports a change to its unserved-waiter or in-flight
+        count, since the cover reads only those two counts and would find
+        nothing again. A tick therefore visits only the waiting functions
+        on its worklist (last tick's uncovered visits and every function
+        whose gate closed since) or changed since the last tick, instead
+        of scanning every waiting function.
         """
         super().on_maintenance(now)
         assert self.ctx is not None
-        covered = self._covered
-        covered.difference_update(self.ctx.take_changed_functions())
-        for func in self.ctx.waiting_functions():
-            if func in covered:
-                # Open gate, counts unchanged since a cover that found
-                # nothing to do: covering again provably does nothing.
-                continue
+        covered, worklist = self._covered, self._worklist
+        changed = self.ctx.take_changed_functions()
+        covered.difference_update(changed)
+        worklist.update(changed)
+        visits = self.ctx.waiting_among(worklist)
+        if len(visits) < len(worklist):
+            # Not waiting: queueing again is a change, so they come back.
+            worklist.intersection_update(visits)
+        for func in visits:
             # The T_d/T_p statistics only gate the *disabled* branch, so
             # they are computed lazily: when the gate is already open the
             # window queries (and their pruning) are deferred to the next
@@ -355,6 +370,7 @@ class CSSScalingMixin(OrchestrationPolicy):
             # in-flight provision.
             if self._cover_backlog(func):
                 covered.add(func)
+                worklist.discard(func)
 
     def maintenance_horizon(self, now: float) -> Optional[float]:
         """Queue re-evaluation is a provable no-op while nothing is queued:

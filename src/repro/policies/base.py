@@ -34,7 +34,7 @@ import enum
 import functools
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Protocol, Set
+from typing import TYPE_CHECKING, Iterable, List, Optional, Protocol, Set
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.container import Container
@@ -121,6 +121,10 @@ class PolicyContext(Protocol):
 
     def waiting_functions(self) -> List[str]:
         """Functions that currently have unserved queued requests."""
+
+    def waiting_among(self, funcs: Iterable[str]) -> List[str]:
+        """The functions of ``funcs`` that have unserved queued requests,
+        in :meth:`waiting_functions` order."""
 
     def take_changed_functions(self) -> Set[str]:
         """Functions whose unserved-waiter count or in-flight count

@@ -332,6 +332,14 @@ class Simulator:
                 return row
         return head
 
+    def head_event(self) -> Optional[Event]:
+        """The live heap event that would fire next (arrival-stream rows
+        aside), or None. Cancelled and stale entries are skipped, not
+        removed; O(n), for diagnostics."""
+        live = [entry for entry in self._heap
+                if not entry[2].cancelled and entry[1] == entry[2].seq]
+        return min(live)[2] if live else None
+
     def _stream_remaining(self) -> int:
         return self._stream_len - self._stream_pos
 

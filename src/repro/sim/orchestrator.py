@@ -29,6 +29,7 @@ import zlib
 from collections import deque
 from dataclasses import dataclass
 from math import inf
+from operator import attrgetter
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.sim.config import SimulationConfig
@@ -83,6 +84,11 @@ class _PendingProvision:
     waiter: Optional[_Waiter]
     speculative: bool
     prewarm: bool = False
+
+
+#: Orders ledgers by completion key (keys never tie: sequence numbers
+#: are unique).
+_LEDGER_KEY = attrgetter("key")
 
 
 class _ExecProgress:
@@ -236,6 +242,11 @@ class Orchestrator:
         #: worker_id -> the one completion event of a worker with running
         #: executions, queued under its earliest ledger key.
         self._heads: Dict[int, Event] = {}
+        #: A completion's retime of its neighbours, put off to the next
+        #: retime on that worker within the same handler (see
+        #: :meth:`_defer_retime`): ``(worker_id, busy, rate, first_seq,
+        #: count)``, or None.
+        self._deferred: Optional[tuple] = None
         #: Functions whose contention slowdown comes from the model's
         #: table rather than its curve.
         overrides = (self._contention.table
@@ -254,6 +265,10 @@ class Orchestrator:
         self._restart_times: List[float] = []
         self._waiters: Dict[str, Deque[_Waiter]] = {}
         self._unserved: Dict[str, int] = {}
+        #: func -> its position in ``_unserved``, fixed when the function
+        #: first queues a waiter (entries are never deleted), so ordering
+        #: by rank is :meth:`waiting_functions` order.
+        self._rank: Dict[str, int] = {}
         #: Functions whose ``_unserved`` count is non-zero.
         self._n_waiting = 0
         self._committed: Dict[int, Deque[_Waiter]] = {}
@@ -342,6 +357,14 @@ class Orchestrator:
         if not self._n_waiting:
             return []
         return [func for func, count in self._unserved.items() if count]
+
+    def waiting_among(self, funcs: Iterable[str]) -> List[str]:
+        """The functions of ``funcs`` with at least one unserved queued
+        request, in :meth:`waiting_functions` order. Costs O(k log k) in
+        the k functions asked about, not a scan of every function."""
+        unserved = self._unserved
+        return sorted([func for func in funcs if unserved.get(func, 0)],
+                      key=self._rank.__getitem__)
 
     def provisions_in_flight(self, func: str) -> int:
         """Containers of ``func`` being provisioned *or* waiting for memory
@@ -939,9 +962,11 @@ class Orchestrator:
         func = waiter.request.func
         self._waiters.setdefault(func, deque()).append(waiter)
         count = self._unserved.get(func, 0) + 1
-        self._unserved[func] = count
         if count == 1:
             self._n_waiting += 1
+            if func not in self._rank:
+                self._rank[func] = len(self._rank)
+        self._unserved[func] = count
         self._touch(func)
 
     def _unserve(self, func: str) -> None:
@@ -1043,6 +1068,12 @@ class Orchestrator:
             if waiter is None:
                 break
             self._serve(container, waiter, StartType.DELAYED)
+        if self._deferred is not None:
+            # No start took over the neighbours' retime: run it now.
+            worker_id = self._deferred[0]
+            table = self._worker_execs[worker_id]
+            self._place_head(worker_id, self._retime_worker(
+                worker_id, table, len(table), now))
         # Memory may now be reclaimable: retry blocked provisions.
         if self._pending:
             self._schedule_retry()
@@ -1103,47 +1134,81 @@ class Orchestrator:
         """Settle progress and re-key the completion of every running
         execution in ``table`` under the worker's new concurrency
         ``busy``. Returns the ledger with the earliest key, or None for
-        an idle worker; the caller moves the completion event there."""
+        an idle worker; the caller moves the completion event there.
+
+        When a completion on this worker deferred its own retime
+        (:meth:`_defer_retime`), this one pass applies both
+        transitions, leaving each ledger as the two passes in a row
+        would: settled once, at the rate it ran at until ``now``; timed
+        at its final rate; keyed with a sequence number from the block
+        of the last transition that changed its rate. A ledger only the
+        completion moved takes its number from the block drawn back
+        then, in table order, just as that pass would have.
+        """
         if not table:
             return None
         rate = self._slowdown(worker_id, None, busy, now)
         overridden = self._overridden
-        # Re-keyed ledgers with their new times. Their sequence numbers
-        # are drawn below as one block, in table order: the values
-        # per-ledger draw_seq calls would have drawn.
-        moved = []
-        head = None
+        deferred = self._deferred
+        if deferred is not None and deferred[0] == worker_id:
+            self._deferred = None
+            _, busy1, rate1, seq1, count1 = deferred
+        else:
+            busy1 = rate1 = None
+            seq1 = count1 = 0
+        end1 = seq1 + count1
+        # The ledgers this transition re-keys take consecutive sequence
+        # numbers in table order, from the next one: nothing else draws
+        # during the pass, so drawing them as one block afterwards gives
+        # the values per-ledger draw_seq calls would have drawn.
+        sim = self.sim
+        seq = block = sim.draw_seqs(0)
         for state in table.values():
+            old = state.slowdown
             if overridden and state.request.func in overridden:
-                slowdown = self._slowdown(worker_id, state.request.func,
-                                          busy, now)
+                func = state.request.func
+                slowdown = self._slowdown(worker_id, func, busy, now)
+                first = (old if busy1 is None
+                         else self._slowdown(worker_id, func, busy1, now))
             else:
                 slowdown = rate
-            # An unchanged rate keeps settlement deferred and the key.
-            if slowdown != state.slowdown:
-                elapsed = now - state.settled_ms
-                if elapsed > 0.0:
-                    remaining = state.remaining_ms - elapsed / state.slowdown
-                    state.remaining_ms = remaining if remaining > 0.0 else 0.0
-                state.settled_ms = now
-                state.slowdown = slowdown
-                if slowdown != 1.0:
-                    state.slowed = True
-                time = now + state.remaining_ms * slowdown
-                if not now <= time < inf:
-                    raise ValueError(self.sim._bad_time("draw a key", time))
-                moved.append((state, time))
-                state.queued = False
-            elif head is None or state.key < head.key:
-                head = state
-        if moved:
-            seq = self.sim.draw_seqs(len(moved))
-            for state, time in moved:
+                first = old if rate1 is None else rate1
+            # ``first`` is the rate after the deferred completion (the
+            # current one when there is none). Unchanged rates keep
+            # settlement deferred and the key.
+            if first == old and slowdown == old:
+                continue
+            remaining = state.remaining_ms
+            elapsed = now - state.settled_ms
+            if elapsed > 0.0:
+                remaining = remaining - elapsed / old
+                remaining = state.remaining_ms = (remaining if remaining > 0.0
+                                                  else 0.0)
+            state.settled_ms = now
+            state.slowdown = slowdown
+            if first != 1.0 or slowdown != 1.0:
+                state.slowed = True
+            time = now + remaining * slowdown
+            if not now <= time < inf:
+                raise ValueError(sim._bad_time("draw a key", time))
+            state.queued = False
+            if slowdown != first:
                 state.key = (time, seq)
                 seq += 1
-                if head is None or state.key < head.key:
-                    head = state
-        return head
+                if first != old:
+                    seq1 += 1  # drawn for the completion's key, now replaced
+            else:
+                # Only the completion changed this rate.
+                state.key = (time, seq1)
+                seq1 += 1
+        if seq1 != end1:
+            raise RuntimeError(
+                f"worker {worker_id}: the completion's retime re-keyed "
+                f"{count1 - (end1 - seq1)} executions, not the {count1} "
+                f"it drew sequence numbers for")
+        if seq != block:
+            sim.draw_seqs(seq - block)
+        return min(table.values(), key=_LEDGER_KEY)
 
     def _place_head(self, worker_id: int, state: _ExecProgress) -> None:
         """Queue ``worker_id``'s completion event under ``state``'s key,
@@ -1170,14 +1235,43 @@ class Orchestrator:
             table = self._worker_execs.get(worker_id)
             if table is not None:
                 table.pop(request.req_id, None)
-                head = self._retime_worker(worker_id, table, len(table),
-                                           self.sim.now)
-                if head is None:
+                if not table:
                     del self._heads[worker_id]
                     self._disarm_rate_boundary(worker_id)
                 else:
-                    self._place_head(worker_id, head)
+                    self._defer_retime(worker_id, table)
         return state
+
+    def _defer_retime(self, worker_id: int,
+                      table: Dict[int, _ExecProgress]) -> None:
+        """Put off the neighbours' retime after a completion.
+
+        The freed slot usually goes straight to a queued request on the
+        same worker, whose start moves the concurrency back, so the next
+        :meth:`_retime_worker` call on this worker does both transitions
+        in one pass (``_on_complete`` makes that call itself if no start
+        follows). Only the sequence numbers this retime would draw are
+        drawn now, so every later number stays as it was. Without a
+        per-function table every execution on a worker runs at the
+        worker's one rate, so counting them is O(1).
+        """
+        now = self.sim.now
+        busy = len(table)
+        rate = self._slowdown(worker_id, None, busy, now)
+        overridden = self._overridden
+        if not overridden:
+            count = (busy if rate != next(iter(table.values())).slowdown
+                     else 0)
+        else:
+            count = 0
+            for state in table.values():
+                func = state.request.func
+                slowdown = (self._slowdown(worker_id, func, busy, now)
+                            if func in overridden else rate)
+                if slowdown != state.slowdown:
+                    count += 1
+        seq = self.sim.draw_seqs(count) if count else 0
+        self._deferred = (worker_id, busy, rate, seq, count)
 
     def _arm_rate_boundary(self, worker_id: int) -> None:
         """Wake up at the next straggler-window edge that changes
@@ -1377,10 +1471,18 @@ class Orchestrator:
         # of completed; anything in neither state is a genuine deadlock.
         unfinished = [r for r in requests if not r.completed and not r.failed]
         if unfinished:
+            head = self.sim.head_event()
+            head_name = ("empty" if head is None else getattr(
+                head.callback, "__name__", repr(head.callback)))
+            # An integer count, so its summation order cannot matter.
+            waiting = sum(self._unserved.values())  # repro-lint: disable=FPX002
             raise RuntimeError(
                 f"{len(unfinished)} requests never completed "
                 f"(first: {unfinished[0]!r}); this indicates a scheduling "
-                f"deadlock or an over-constrained configuration")
+                f"deadlock or an over-constrained configuration: "
+                f"{len(self._pending)} provisions blocked for memory, "
+                f"{waiting} queued requests unserved, engine heap head: "
+                f"{head_name}")
         # Count speculative containers that are still alive but were never
         # reused — wasted cold starts in hindsight (§3.2).
         for worker in self._workers:

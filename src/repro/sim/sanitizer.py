@@ -23,7 +23,11 @@ While installed on an orchestrator it
   (:meth:`Worker.check_integrity`), the engine's live/real event
   counters against a heap scan, the heap invariant itself, and, in
   progress mode, each busy worker's single completion event against
-  its executions' ledger keys.
+  its executions' ledger keys (a worker whose completion handler has
+  put off its neighbours' retime is exempt until the handler places
+  the event, which it must do before returning), and, under CSS, that
+  every waiting function is covered, on the maintenance worklist or in
+  the orchestrator's pending change set.
 
 Outside probe windows the barrier costs one truthiness test per
 attribute write, so a sanitized run executes the *same* simulation: the
@@ -41,6 +45,7 @@ from __future__ import annotations
 import sys
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.scaling import CSSScalingMixin
 from repro.sim.container import Container
 from repro.sim.engine import Event, Simulator
 from repro.sim.eventlog import EventLog
@@ -231,6 +236,19 @@ class SimSanitizer:
 
         log.record = counting_record
 
+        on_complete = orchestrator._on_complete
+
+        def checked_on_complete(*args):
+            on_complete(*args)
+            if orchestrator._deferred is not None:
+                raise SanitizerError(
+                    f"a completion handler returned with worker "
+                    f"{orchestrator._deferred[0]}'s retime still pending")
+
+        # Scheduled through ``self``, so the instance attribute is what
+        # every completion event calls.
+        orchestrator._on_complete = checked_on_complete
+
         if orchestrator.recorder is not None:
             self._original_recorder = orchestrator.recorder
             orchestrator.recorder = _GuardedProbe(
@@ -242,6 +260,10 @@ class SimSanitizer:
 
     def finalize(self, orchestrator: Orchestrator) -> None:
         """Run the closing consistency sweep (post-run, pre-uninstall)."""
+        if orchestrator._deferred is not None:
+            raise SanitizerError(
+                f"the run ended with worker {orchestrator._deferred[0]}'s "
+                f"retime still pending")
         self.run_checks(orchestrator)
 
     def uninstall(self, orchestrator: Orchestrator) -> None:
@@ -249,6 +271,7 @@ class SimSanitizer:
         if self._installed_on is not orchestrator:
             return
         self._installed_on = None
+        orchestrator.__dict__.pop("_on_complete", None)
         log = orchestrator.event_log
         if log is not None:
             log.__dict__.pop("record", None)
@@ -298,15 +321,22 @@ class SimSanitizer:
                 f"waiting-function count {orchestrator._n_waiting} "
                 f"diverged from scan {waiting}")
         self._check_completion_heads(orchestrator)
+        self._check_worklist(orchestrator)
 
     @staticmethod
     def _check_completion_heads(orchestrator: Orchestrator) -> None:
         """Progress mode queues one completion event per busy worker: it
         must be live, keyed at the earliest of the worker's ledger keys,
         and name that ledger's execution. (A live event with no heap
-        entry under its key already fails the counter check.)"""
+        entry under its key already fails the counter check.) The one
+        exception is the worker whose completion handler is running with
+        the neighbours' retime put off: its event is placed before the
+        handler returns (checked around every completion)."""
+        deferred = orchestrator._deferred
+        pending = deferred[0] if deferred is not None else None
         busy = [(worker_id, table) for worker_id, table
-                in orchestrator._worker_execs.items() if table]
+                in orchestrator._worker_execs.items()
+                if table and worker_id != pending]
         if not busy:
             return
         sim = orchestrator.sim
@@ -327,6 +357,23 @@ class SimSanitizer:
                     f"worker {worker_id}'s completion event names request "
                     f"{head.args[1].req_id}, not request "
                     f"{first.request.req_id} whose key it carries")
+
+    @staticmethod
+    def _check_worklist(orchestrator: Orchestrator) -> None:
+        """CSS maintenance visits only its worklist and the functions
+        changed since the last tick; a waiting function in neither must
+        be covered, or a tick would wrongly pass it over."""
+        policy = orchestrator.policy
+        if not isinstance(policy, CSSScalingMixin):
+            return
+        changed = orchestrator._changed
+        for func, count in orchestrator._unserved.items():
+            if (count and func not in policy._covered
+                    and func not in policy._worklist
+                    and func not in changed):
+                raise SanitizerError(
+                    f"waiting function {func!r} is neither covered, on "
+                    f"the CSS maintenance worklist nor marked changed")
 
     # -- reporting -----------------------------------------------------
 

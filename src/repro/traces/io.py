@@ -64,10 +64,24 @@ def load_trace(directory: PathLike, name: str) -> Trace:
         )
         for f in meta["functions"]
     ]
+    known = {f.name for f in functions}
     requests = []
-    with open(directory / f"{name}.requests.csv", newline="") as fh:
+    path = directory / f"{name}.requests.csv"
+    with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
-            requests.append(Request(row["func"], float(row["arrival_ms"]),
-                                    float(row["exec_ms"])))
+            try:
+                func = row["func"]
+                if func not in known:
+                    raise ValueError(
+                        f"request targets unknown function {func!r}")
+                requests.append(Request(func, float(row["arrival_ms"]),
+                                        float(row["exec_ms"])))
+            except KeyError as exc:
+                raise KeyError(f"{path}, line {reader.line_num}: no "
+                               f"{exc.args[0]!r} column") from exc
+            except (TypeError, ValueError) as exc:
+                # A short row reads its missing fields as None.
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: {exc}") from exc
     return Trace(meta["name"], functions, requests)

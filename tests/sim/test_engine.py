@@ -99,6 +99,17 @@ class TestCancellation:
         assert sim.pending() == 1
         assert keep is not drop
 
+    def test_head_event_skips_cancelled_and_stale_entries(self):
+        sim = Simulator()
+        assert sim.head_event() is None
+        first = sim.schedule(1.0, lambda: None)
+        moved = sim.schedule(2.0, lambda: None)
+        last = sim.schedule(3.0, lambda: None)
+        first.cancel()
+        sim.queue_at(moved, 4.0, sim.draw_seq(4.0))  # its 2.0 entry is stale
+        assert sim.head_event() is last
+        assert len(sim._heap) == 4  # nothing was popped
+
 
 class TestRunUntil:
     def test_run_until_stops_and_resumes(self):

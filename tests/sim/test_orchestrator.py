@@ -213,6 +213,25 @@ class TestMemoryPressure:
         assert rb.start_type is StartType.COLD
         assert rb.start_ms == pytest.approx(2000.0)
 
+    def test_deadlock_reports_its_context(self):
+        """A policy that never evicts strands b's provision behind a's
+        idle container: the run ends with b unserved, and the error says
+        what was stuck."""
+
+        class NeverEvict(LRUPolicy):
+            def make_room(self, worker, need_mb, now, for_func=None):
+                return worker.free_mb >= need_mb
+
+        reqs = [Request("a", 0.0, 10.0), Request("b", 100.0, 10.0)]
+        with pytest.raises(RuntimeError) as excinfo:
+            simulate([spec("a"), spec("b")], reqs, NeverEvict(),
+                     config(mb=100.0))
+        message = str(excinfo.value)
+        assert message.startswith("1 requests never completed")
+        assert "1 provisions blocked for memory" in message
+        assert "1 queued requests unserved" in message
+        assert message.endswith("engine heap head: empty")
+
     def test_eviction_counted(self):
         specs = [spec("a"), spec("b")]
         reqs = [Request("a", 0.0, 10.0), Request("b", 1000.0, 10.0)]

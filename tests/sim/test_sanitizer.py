@@ -289,6 +289,99 @@ def test_completion_head_corruption_reported(how, message):
         sanitizer.uninstall(orchestrator)
 
 
+def _handoff_orchestrator():
+    """Three executions share a core and a fourth request queues, so a
+    completion hands its slot straight on (n -> n-1 -> n)."""
+    spec = FunctionSpec("f", memory_mb=100.0, cold_start_ms=50.0)
+    config = SimulationConfig(capacity_gb=1.0, threads_per_container=3,
+                              contention=ContentionModel(cores=1))
+    orchestrator = Orchestrator([spec], LRUPolicy(), config,
+                                event_log=EventLog())
+    requests = [Request("f", 0.0, 300.0), Request("f", 60.0, 200.0),
+                Request("f", 70.0, 250.0), Request("f", 80.0, 100.0)]
+    return orchestrator, requests
+
+
+def test_pending_retime_is_exempt_mid_handler():
+    """A sweep that runs while a completion handler still owes its
+    neighbours' retime skips that worker's head, and only that one."""
+    orchestrator, requests = _handoff_orchestrator()
+    sanitizer = SimSanitizer(check_interval=1)
+    pending_sweeps = []
+    defer = orchestrator._defer_retime
+
+    def defer_then_sweep(worker_id, table):
+        defer(worker_id, table)
+        sanitizer.run_checks(orchestrator)
+        pending_sweeps.append(worker_id)
+
+    orchestrator._defer_retime = defer_then_sweep
+    sanitizer.install(orchestrator)
+    try:
+        orchestrator.run(requests)
+        sanitizer.finalize(orchestrator)
+    finally:
+        sanitizer.uninstall(orchestrator)
+    assert pending_sweeps, "no completion deferred a retime"
+
+
+def test_retime_left_pending_after_handler_reported():
+    orchestrator, requests = _handoff_orchestrator()
+    retime = orchestrator._retime_worker
+
+    def retime_but_stay_pending(worker_id, table, busy, now):
+        deferred = orchestrator._deferred
+        head = retime(worker_id, table, busy, now)
+        orchestrator._deferred = deferred
+        return head
+
+    orchestrator._retime_worker = retime_but_stay_pending
+    sanitizer = SimSanitizer()
+    sanitizer.install(orchestrator)
+    try:
+        with pytest.raises(SanitizerError, match="still pending"):
+            orchestrator.run(requests)
+    finally:
+        sanitizer.uninstall(orchestrator)
+    orchestrator._deferred = (0, 1, 1.0, 0, 0)
+    with pytest.raises(SanitizerError, match="still pending"):
+        sanitizer.finalize(orchestrator)
+
+
+def test_waiting_function_off_the_worklist_reported():
+    """A waiting function that is neither covered, on the CSS worklist
+    nor marked changed would never be visited again: a sweep names it.
+    (A closed gate keeps a function on the worklist with no change.)"""
+    trace = azure_trace(seed=7, total_requests=2_000, duration_ms=180_000)
+    orchestrator = Orchestrator(
+        trace.functions, _factory("CIDRE")(trace),
+        SimulationConfig(capacity_gb=4.0), event_log=EventLog())
+    policy = orchestrator.policy
+    sanitizer = SimSanitizer()
+    tick = policy.on_maintenance
+
+    def tick_then_corrupt(now):
+        tick(now)
+        lost = [func for func in orchestrator.waiting_functions()
+                if func in policy._worklist
+                and func not in orchestrator._changed]
+        if not lost:
+            return
+        sanitizer.run_checks(orchestrator)      # consistent so far
+        policy._worklist.discard(lost[0])
+        with pytest.raises(SanitizerError, match="worklist"):
+            sanitizer.run_checks(orchestrator)
+        raise _Stop
+
+    policy.on_maintenance = tick_then_corrupt
+    sanitizer.install(orchestrator)
+    try:
+        with pytest.raises(_Stop):
+            orchestrator.run(trace.packed())
+    finally:
+        sanitizer.uninstall(orchestrator)
+
+
 def test_double_install_rejected():
     orchestrator = _build()
     sanitizer = SimSanitizer()

@@ -96,6 +96,36 @@ class TestIO:
         assert loaded.spec_of("a").cold_start_ms == 1000.0
         assert loaded.spec_of("a").runtime == "python3.8"
 
+    @staticmethod
+    def _corrupt(trace, tmp_path, lines):
+        save_trace(trace, tmp_path)
+        path = tmp_path / "test.requests.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("bad_row, complaint", [
+        ("a,5.0,abc", "could not convert string to float: 'abc'"),
+        ("nosuchfunc,5.0,1.0", "unknown function 'nosuchfunc'"),
+        ("a,5.0", "must be a string or a real number"),
+        ("a,nan,1.0", "arrival"),
+    ])
+    def test_bad_row_names_file_and_line(self, trace, tmp_path, bad_row,
+                                         complaint):
+        path = self._corrupt(trace, tmp_path, [
+            "func,arrival_ms,exec_ms", "a,0.0,1.0", bad_row, "b,9.0,1.0"])
+        with pytest.raises(ValueError) as excinfo:
+            load_trace(tmp_path, "test")
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}, line 3: ")
+        assert complaint in message
+
+    def test_missing_column_names_file_and_line(self, trace, tmp_path):
+        path = self._corrupt(trace, tmp_path, [
+            "func,arrival,exec_ms", "a,0.0,1.0"])
+        with pytest.raises(KeyError) as excinfo:
+            load_trace(tmp_path, "test")
+        assert f"{path}, line 2: no 'arrival_ms' column" in str(excinfo.value)
+
 
 class TestStats:
     def test_workload_stats(self, trace):
