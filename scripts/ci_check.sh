@@ -182,23 +182,27 @@ echo "blame attribution non-vacuous: eviction-caused cold starts resolved"
 
 echo "== fast-forward vs reference event-log cmp (bit-identity) =="
 # The packed-stream + fast-forward replay must produce a byte-identical
-# JSONL event log and time series to the classic reference replay. The
-# recorder's periodic samples every tick while inert maintenance ticks
-# are still skipped.
+# JSONL event log, time series and Prometheus metrics to the classic
+# reference replay. The recorder's periodic samples every tick while
+# inert maintenance ticks are still skipped.
 ff_common=(trace --preset azure --requests 1500 --seed 3
            --policy CIDRE --capacity-gb 2)
 python -m repro.cli "${ff_common[@]}" --reference \
     --events-out "$tmpdir/events-ref.jsonl" \
-    --timeseries-out "$tmpdir/series-ref.json" > /dev/null
+    --timeseries-out "$tmpdir/series-ref.json" \
+    --metrics-out "$tmpdir/metrics-ref.prom" > /dev/null
 python -m repro.cli "${ff_common[@]}" --fast-forward \
     --events-out "$tmpdir/events-ff.jsonl" \
-    --timeseries-out "$tmpdir/series-ff.json" > /dev/null
+    --timeseries-out "$tmpdir/series-ff.json" \
+    --metrics-out "$tmpdir/metrics-ff.prom" > /dev/null
 cmp "$tmpdir/events-ref.jsonl" "$tmpdir/events-ff.jsonl"
 cmp "$tmpdir/series-ref.json" "$tmpdir/series-ff.json"
+cmp "$tmpdir/metrics-ref.prom" "$tmpdir/metrics-ff.prom"
 # Same check through the diff verb (exit 0 + "identical" on no drift).
 python -m repro.cli diff "$tmpdir/events-ref.jsonl" \
     "$tmpdir/events-ff.jsonl" | grep -q "identical"
-echo "fast-forward event log and time series match reference byte-for-byte"
+echo "fast-forward event log, time series and metrics match reference" \
+    "byte-for-byte"
 
 echo "== contention smoke (inert-model identity, deterministic replay) =="
 # An attached-but-inert contention model (alpha=0) must replay the exact

@@ -246,11 +246,10 @@ class CSSScalingMixin(OrchestrationPolicy):
             self._covered.discard(func)
             self._worklist.add(func)
         if self.metrics is not None:
-            self.metrics.counter(
+            self.metrics.counter_child(
                 "repro_bss_gate_flips_total",
                 "CSS gate transitions (Algorithm 1 lines 5 and 11)",
-                labelnames=("func", "to"),
-            ).labels(func=func, to="on" if enabled else "off").inc()
+                ("func", "to"), (func, "on" if enabled else "off")).inc()
         if self.audit is not None:
             self.audit.emit({"kind": "gate_flip", "t": now, "func": func,
                              "enabled": enabled, "reason": reason,
@@ -261,11 +260,10 @@ class CSSScalingMixin(OrchestrationPolicy):
                     extra) -> None:
         """One ``css_scale`` record / branch counter per scale() call."""
         if self.metrics is not None:
-            self.metrics.counter(
+            self.metrics.counter_child(
                 "repro_css_scale_total",
-                "CSS scale() calls by Algorithm 1 branch",
-                labelnames=("branch",),
-            ).labels(branch=branch).inc()
+                "CSS scale() calls by Algorithm 1 branch", ("branch",),
+                (branch,)).inc()
         if self.audit is None:
             return
         record = {"kind": "css_scale", "t": now, "func": func,
@@ -376,7 +374,7 @@ class CSSScalingMixin(OrchestrationPolicy):
         """Queue re-evaluation is a provable no-op while nothing is queued:
         the maintenance loop iterates waiting functions only. Asked on
         each tick under fast-forward; the empty check is O(1)."""
-        if self.ctx is None or self.ctx.waiting_functions():
+        if self.ctx is None or self.ctx.any_waiting():
             return None
         return math.inf
 

@@ -8,6 +8,13 @@ monotone :class:`Counter`, settable :class:`Gauge`, fixed-bucket
 name, so hook sites can call ``registry.counter("repro_evictions_total")``
 without threading instrument handles around.
 
+Hot-path updates skip both the get-or-create and the label validation:
+``family.child("f3")`` binds a labelled child on first use (through the
+validating :meth:`_Family.labels`) and is one dict lookup after that,
+and :meth:`MetricsRegistry.counter_child` does the same for hook sites
+that hold no family handle. Children are still created only when first
+used, so a label set that was never updated never appears in an export.
+
 Export surfaces:
 
 * :meth:`MetricsRegistry.snapshot` — a plain JSON-ready dict (every
@@ -137,7 +144,7 @@ class _Family:
     """One named metric: type, help text, and labelled children."""
 
     __slots__ = ("name", "help", "kind", "labelnames", "_children",
-                 "_make")
+                 "_bound", "_make")
 
     def __init__(self, name: str, help_text: str, kind: str,
                  labelnames: Sequence[str], make_child: Callable):
@@ -149,6 +156,8 @@ class _Family:
             if not _LABEL_RE.match(label):
                 raise ValueError(f"invalid label name {label!r}")
         self._children: Dict[Tuple[str, ...], object] = {}
+        #: Raw positional label values -> child, filled by :meth:`child`.
+        self._bound: Dict[tuple, object] = {}
         self._make = make_child
 
     def labels(self, **labels: object):
@@ -163,24 +172,41 @@ class _Family:
             child = self._children[key] = self._make()
         return child
 
+    def child(self, *values: object):
+        """The child for positional label values, in ``labelnames`` order.
+
+        Bound through :meth:`labels` on first use (so it is validated,
+        created and exported exactly as ``labels`` would), then one dict
+        lookup keyed by the raw values.
+        """
+        child = self._bound.get(values)
+        if child is None:
+            if len(values) != len(self.labelnames):
+                raise ValueError(
+                    f"{self.name} takes labels {self.labelnames}, "
+                    f"got {len(values)} values")
+            child = self._bound[values] = self.labels(
+                **dict(zip(self.labelnames, values)))
+        return child
+
     # Unlabelled convenience: a family with no label names behaves like
     # its single child, so `registry.counter("x").inc()` just works.
 
     def inc(self, amount: float = 1.0) -> None:
-        self.labels().inc(amount)
+        self.child().inc(amount)
 
     def dec(self, amount: float = 1.0) -> None:
-        self.labels().dec(amount)
+        self.child().dec(amount)
 
     def set(self, value: float) -> None:
-        self.labels().set(value)
+        self.child().set(value)
 
     def observe(self, value: float) -> None:
-        self.labels().observe(value)
+        self.child().observe(value)
 
     @property
     def value(self) -> float:
-        return self.labels().value
+        return self.child().value
 
     def children(self) -> List[Tuple[Tuple[str, ...], object]]:
         """(label values, child) pairs in deterministic (sorted) order."""
@@ -231,6 +257,23 @@ class MetricsRegistry:
                              "increasing")
         return self._get_or_create(name, help_text, "histogram",
                                    labelnames, lambda: Histogram(edges))
+
+    def counter_child(self, name: str, help_text: str,
+                      labelnames: Sequence[str] = (),
+                      values: tuple = ()) -> Counter:
+        """The child of counter ``name`` for label ``values``.
+
+        For hook sites that hold no family handle. Once bound, a child is
+        two dict lookups away; the first use of each label-value
+        combination goes through :meth:`counter` (get-or-create, with its
+        kind and label-name checks) and :meth:`_Family.child`.
+        """
+        family = self._families.get(name)
+        if family is not None and family.kind == "counter":
+            child = family._bound.get(values)
+            if child is not None:
+                return child
+        return self.counter(name, help_text, labelnames).child(*values)
 
     def _get_or_create(self, name: str, help_text: str, kind: str,
                        labelnames: Sequence[str],

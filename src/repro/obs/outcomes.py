@@ -226,7 +226,7 @@ class OutcomeResolver:
         cls = cause_class(cause)
         self.causes[cls] = self.causes.get(cls, 0) + 1
         if self._m_causes is not None:
-            self._m_causes.labels(cause=cls).inc()
+            self._m_causes.child(cls).inc()
         did = cause_decision_id(cause)
         state = self._open.get(did) if did is not None else None
         if state is not None:

@@ -122,6 +122,10 @@ class PolicyContext(Protocol):
     def waiting_functions(self) -> List[str]:
         """Functions that currently have unserved queued requests."""
 
+    def any_waiting(self) -> bool:
+        """Whether any function has an unserved queued request, in O(1)
+        (``bool(waiting_functions())`` without building the list)."""
+
     def waiting_among(self, funcs: Iterable[str]) -> List[str]:
         """The functions of ``funcs`` that have unserved queued requests,
         in :meth:`waiting_functions` order."""
@@ -443,10 +447,10 @@ class OrchestrationPolicy:
         reclaiming off-audit.
         """
         if self.metrics is not None:
-            self.metrics.counter(
+            self.metrics.counter_child(
                 "repro_replace_decisions_total",
                 "make_room REPLACE decisions that evicted containers").inc()
-            self.metrics.counter(
+            self.metrics.counter_child(
                 "repro_replace_victims_total",
                 "Containers evicted by REPLACE decisions").inc(len(chosen))
         if self.audit is None:

@@ -12,14 +12,17 @@ to hold in memory, the log can be bounded (``capacity``) and/or fanned
 out to streaming :mod:`repro.sim.telemetry` sinks (``sinks``): every
 event still reaches each attached sink, while the in-memory buffer keeps
 only the newest ``capacity`` events.
+
+An :class:`Event` is a named tuple, so recording one costs a tuple
+allocation and a deque append; with no sinks attached,
+:meth:`EventLog.record` does nothing else.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 
 class EventKind(enum.Enum):
@@ -106,9 +109,8 @@ def cause_decision_id(cause: str) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True)
-class Event:
-    """One control-plane event."""
+class Event(NamedTuple):
+    """One control-plane event (an immutable, tuple-backed record)."""
 
     time_ms: float
     kind: EventKind
@@ -132,7 +134,15 @@ class Event:
 
 
 class EventLog:
-    """Accumulates :class:`Event` records during a run."""
+    """Accumulates :class:`Event` records during a run.
+
+    :meth:`record` is the probe entry point the orchestrator calls once
+    per event: it builds one tuple-backed :class:`Event`, appends it to
+    the (optionally bounded) buffer and, only when sinks are attached,
+    hands it to each sink. The orchestrator looks ``record`` up on the
+    log at every call and never keeps the bound method, so a wrapper
+    installed on the instance (the benchmark's tracer) sees every event.
+    """
 
     def __init__(self, capacity: Optional[int] = None,
                  sinks: Sequence = ()):
@@ -171,8 +181,9 @@ class EventLog:
                       worker_id)
         events.append(event)
         self.recorded += 1
-        for sink in self._sinks:
-            sink.emit(event)
+        if self._sinks:
+            for sink in self._sinks:
+                sink.emit(event)
 
     def close(self) -> None:
         """Close every attached sink (flushes streaming file sinks)."""

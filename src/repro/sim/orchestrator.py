@@ -358,6 +358,10 @@ class Orchestrator:
             return []
         return [func for func, count in self._unserved.items() if count]
 
+    def any_waiting(self) -> bool:
+        """Whether any function has an unserved queued request; O(1)."""
+        return self._n_waiting > 0
+
     def waiting_among(self, funcs: Iterable[str]) -> List[str]:
         """The functions of ``funcs`` with at least one unserved queued
         request, in :meth:`waiting_functions` order. Costs O(k log k) in
@@ -442,7 +446,7 @@ class Orchestrator:
         self._committed.pop(container.container_id, None)
         self.metrics.evictions += 1
         if self._m_evictions is not None:
-            self._m_evictions.labels(func=container.spec.name).inc()
+            self._m_evictions.child(container.spec.name).inc()
         if self.attribution is not None:
             self.attribution.note_removal(container.spec.name, cause_kind,
                                           decision_id)
@@ -594,7 +598,7 @@ class Orchestrator:
         decision = self.policy.scale(request, worker, now)
         decision = self._validate_decision(decision, request, worker)
         if self._m_decisions is not None:
-            self._m_decisions.labels(action=decision.action.value).inc()
+            self._m_decisions.child(decision.action.value).inc()
         waiter = _Waiter(request,
                          may_use_busy=decision.action is not ScalingAction.COLD,
                          committed=decision.target)
@@ -872,7 +876,7 @@ class Orchestrator:
                   container_id=container.container_id, detail=detail,
                   worker_id=worker.worker_id)
         if self._m_provisions is not None:
-            self._m_provisions.labels(kind=kind).inc()
+            self._m_provisions.child(kind).inc()
         self.policy.on_provision_started(container, now)
         if self._faults is not None:
             # Integrate the cold rate across straggler-window edges
@@ -1008,15 +1012,16 @@ class Orchestrator:
         request.start_ms = now
         request.start_type = start_type
         request.container_id = container.container_id
+        label = start_type.value
         self._log(EventKind.EXEC_START, request.func,
                   container_id=container.container_id,
-                  req_id=request.req_id, detail=start_type.value,
+                  req_id=request.req_id, detail=label,
                   worker_id=container.worker.worker_id
                   if container.worker else None)
         if self.recorder is not None:
-            self.recorder.note_start(request.func, start_type.value, now)
+            self.recorder.note_start(request.func, label, now)
         if self._m_starts is not None:
-            self._m_starts.labels(type=start_type.value).inc()
+            self._m_starts.child(label).inc()
         container.start_request(request, now)
         if start_type is StartType.WARM:
             self.policy.on_warm_start(container, request, now)

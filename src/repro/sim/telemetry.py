@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
@@ -465,38 +466,121 @@ def write_chrome_trace(path: Union[str, Path],
 
 _START_TYPES = ("warm", "delayed", "cold")
 
+#: One stored row: these gauges, then the starts of each of
+#: ``_START_TYPES`` (the ``warm`` gauge is derived on read).
+_ROW_GAUGES = ("idle", "busy", "provisioning", "memory_mb")
+
+#: The row of a function with no container and no start since the last
+#: sample. Shared by every such sample.
+_ZERO_ROW = (0, 0, 0, 0.0, 0, 0, 0)
+
+#: The start counts of a function with no start since the last sample.
+_NO_STARTS: Dict[str, int] = {}
+
 
 class FunctionSeries:
-    """Fixed-interval samples for one function (or the whole cluster)."""
+    """Fixed-interval samples for one function (or the whole cluster).
 
-    __slots__ = ("times", "idle", "busy", "provisioning", "warm",
-                 "memory_mb", "starts")
+    Storage is one row tuple per sample (``_ROW_GAUGES``, then the
+    starts of each type) beside the sample times. The recorder stores a
+    row that did not change as the previous sample's tuple, and leaves a
+    quiet function (no container, no start) alone: such a series owes
+    :data:`_ZERO_ROW` for every tick of the recorder's grid from
+    ``_owed`` on, and materialises those rows when it is next read or
+    sampled. The public columns (:attr:`times`, :attr:`idle`,
+    :attr:`busy`, :attr:`provisioning`, :attr:`warm`, :attr:`memory_mb`
+    and :attr:`starts`) are built on first read and cached until the
+    next append; treat them as read-only.
+    """
+
+    __slots__ = ("_times", "_rows", "_columns", "_grid", "_owed")
 
     def __init__(self) -> None:
-        self.times: List[float] = []
-        self.idle: List[int] = []
-        self.busy: List[int] = []
-        self.provisioning: List[int] = []
-        #: idle + busy — the paper's per-function warm pool size.
-        self.warm: List[int] = []
-        self.memory_mb: List[float] = []
-        #: Starts *begun* since the previous sample, by start type.
-        self.starts: Dict[str, List[int]] = {t: [] for t in _START_TYPES}
+        self._times: List[float] = []
+        self._rows: List[tuple] = []
+        self._columns: Optional[dict] = None
+        #: The sample times a quiet series follows (the recorder's
+        #: cluster times) and the first grid index it owes a zero row
+        #: for; ``_owed`` is None while the series is sampled tick by tick.
+        self._grid: Optional[List[float]] = None
+        self._owed: Optional[int] = None
+
+    def _catch_up(self, end: Optional[int] = None) -> None:
+        """Materialise the zero rows owed for grid ticks before ``end``
+        (default: every tick so far); the series stays quiet."""
+        owed = self._owed
+        if owed is not None:
+            grid = self._grid
+            if end is None:
+                end = len(grid)
+            if end > owed:
+                self._times.extend(grid[owed:end])
+                self._rows.extend([_ZERO_ROW] * (end - owed))
+                self._columns = None
+                self._owed = end
 
     def append(self, time_ms: float, idle: int, busy: int,
                provisioning: int, memory_mb: float,
                starts: Dict[str, int]) -> None:
-        self.times.append(time_ms)
-        self.idle.append(idle)
-        self.busy.append(busy)
-        self.provisioning.append(provisioning)
-        self.warm.append(idle + busy)
-        self.memory_mb.append(memory_mb)
-        for start_type in _START_TYPES:
-            self.starts[start_type].append(starts.get(start_type, 0))
+        """Add one sample; ``starts`` maps start type -> starts begun
+        since the previous sample (missing types count 0)."""
+        self._catch_up()
+        self._owed = None
+        self._times.append(time_ms)
+        self._rows.append((idle, busy, provisioning, memory_mb,
+                           starts.get("warm", 0), starts.get("delayed", 0),
+                           starts.get("cold", 0)))
+        self._columns = None
+
+    def _column(self, name: str):
+        self._catch_up()
+        columns = self._columns
+        if columns is None:
+            rows = self._rows
+            columns = {field: [row[i] for row in rows]
+                       for i, field in enumerate(_ROW_GAUGES)}
+            columns["warm"] = [i + b for i, b in zip(columns["idle"],
+                                                     columns["busy"])]
+            columns["starts"] = {
+                t: [row[i] for row in rows]
+                for i, t in enumerate(_START_TYPES, len(_ROW_GAUGES))}
+            self._columns = columns
+        return columns[name]
+
+    @property
+    def times(self) -> List[float]:
+        self._catch_up()
+        return self._times
+
+    @property
+    def idle(self) -> List[int]:
+        return self._column("idle")
+
+    @property
+    def busy(self) -> List[int]:
+        return self._column("busy")
+
+    @property
+    def provisioning(self) -> List[int]:
+        return self._column("provisioning")
+
+    @property
+    def warm(self) -> List[int]:
+        """idle + busy — the paper's per-function warm pool size."""
+        return self._column("warm")
+
+    @property
+    def memory_mb(self) -> List[float]:
+        return self._column("memory_mb")
+
+    @property
+    def starts(self) -> Dict[str, List[int]]:
+        """Starts *begun* since the previous sample, by start type."""
+        return self._column("starts")
 
     def __len__(self) -> int:
-        return len(self.times)
+        self._catch_up()
+        return len(self._times)
 
     def points(self, metric: str) -> List[tuple]:
         """``(time_ms, value)`` pairs for one metric —
@@ -538,8 +622,13 @@ class TimeSeriesRecorder:
     unrecorded ones.
 
     Per-function series are created lazily the first time a function has
-    a container (or a start) and sampled on every later tick, so an
-    idle-forever function costs nothing.
+    a container (or a start) and cover every later tick, so an
+    idle-forever function costs nothing. A tick reads each worker once
+    (:meth:`~repro.sim.worker.Worker.census`) and touches only the
+    functions that have a container, a start since the last tick, or
+    had either at the last tick: every other series is quiet and owes
+    zero rows it materialises on read (see :class:`FunctionSeries`).
+    The work per tick is O(active functions), not O(functions seen).
     """
 
     def __init__(self, interval_ms: float = 1_000.0):
@@ -548,6 +637,8 @@ class TimeSeriesRecorder:
         self.interval_ms = float(interval_ms)
         self.cluster = FunctionSeries()
         self.functions: Dict[str, FunctionSeries] = {}
+        #: The series sampled explicitly at the last tick.
+        self._active: Dict[str, FunctionSeries] = {}
         self._pending: Dict[str, Dict[str, int]] = {}
         self._pending_cluster: Dict[str, int] = {}
 
@@ -565,36 +656,65 @@ class TimeSeriesRecorder:
     def sample(self, orchestrator) -> None:
         """Take one sample of ``orchestrator``'s current state."""
         now = orchestrator.now
-        if self.cluster.times and self.cluster.times[-1] == now:
+        grid = self.cluster._times
+        if grid and grid[-1] == now:
             return  # e.g. final flush landing on a periodic tick
-        per_func: Dict[str, List] = {}
+        # func -> [idle, busy, provisioning, memory_mb], summed over
+        # workers in worker order.
+        live: Dict[str, list] = {}
         cluster_mb = 0.0
+        idle = busy = provisioning = 0
         for worker in orchestrator.workers():
             cluster_mb += worker.used_mb
-            for func in worker.all_funcs():
-                row = per_func.get(func)
+            for func, n_idle, n_busy, n_prov, mb in worker.census():
+                idle += n_idle
+                busy += n_busy
+                provisioning += n_prov
+                row = live.get(func)
                 if row is None:
-                    row = per_func[func] = [0, 0, 0, 0.0]
-                row[0] += worker.idle_count(func)
-                row[1] += worker.busy_count(func)
-                row[2] += worker.provisioning_count(func)
-                row[3] += sum(c.memory_mb for c in worker.of_func(func))
-        idle = sum(row[0] for row in per_func.values())
-        busy = sum(row[1] for row in per_func.values())
-        provisioning = sum(row[2] for row in per_func.values())
+                    live[func] = [n_idle, n_busy, n_prov, 0.0 + mb]
+                else:
+                    row[0] += n_idle
+                    row[1] += n_busy
+                    row[2] += n_prov
+                    row[3] += mb
         self.cluster.append(now, idle, busy, provisioning, cluster_mb,
                             self._pending_cluster)
         self._pending_cluster = {}
-        # Sample every function that is live now, has pending start
-        # counts, or was ever seen before (series stay contiguous).
-        funcs = set(per_func) | set(self.functions) | set(self._pending)
-        for func in sorted(funcs):
-            series = self.functions.get(func)
-            if series is None:
-                series = self.functions[func] = FunctionSeries()
-            row = per_func.get(func, (0, 0, 0, 0.0))
-            series.append(now, row[0], row[1], row[2], row[3],
-                          self._pending.get(func, {}))
+        tick = len(grid) - 1
+        pending = self._pending
+        functions = self.functions
+        # New series are created in name order, one tick at a time.
+        new = [func for func in chain(live, pending)
+               if func not in functions]
+        for func in sorted(dict.fromkeys(new)):
+            series = functions[func] = FunctionSeries()
+            series._grid = grid
+        active: Dict[str, FunctionSeries] = {}
+        for func in chain(live, pending):
+            if func in active:
+                continue
+            series = active[func] = functions[func]
+            if series._owed is not None:
+                series._catch_up(tick)
+                series._owed = None
+            counts = live.get(func, _ZERO_ROW)
+            starts = pending.get(func, _NO_STARTS)
+            row = (counts[0], counts[1], counts[2], counts[3],
+                   starts.get("warm", 0), starts.get("delayed", 0),
+                   starts.get("cold", 0))
+            rows = series._rows
+            if rows and rows[-1] == row:
+                row = rows[-1]
+            series._times.append(now)
+            rows.append(row)
+            series._columns = None
+        # A series sampled last tick and idle now owes zero rows from
+        # this tick on.
+        for func, series in self._active.items():
+            if func not in active:
+                series._owed = tick
+        self._active = active
         self._pending = {}
 
     def finish(self, orchestrator) -> None:

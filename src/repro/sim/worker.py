@@ -35,7 +35,8 @@ answer every query identically.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, Iterable, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.sim.container import Container, ContainerState
 
@@ -81,6 +82,9 @@ class _FuncIndex:
         if state is ContainerState.COMPRESSED:
             return self.compressed
         return None  # EVICTED is tracked nowhere
+
+
+_memory_mb = attrgetter("memory_mb")
 
 
 def _in_id_order(index: Dict[int, Container]) -> List[Container]:
@@ -584,6 +588,17 @@ class Worker:
 
     def all_funcs(self) -> Iterable[str]:
         return self._by_func.keys()
+
+    def census(self) -> Iterator[Tuple[str, int, int, int, float]]:
+        """``(func, idle, busy, provisioning, memory_mb)`` for every
+        function of :meth:`all_funcs`, in that order: the three state
+        counts and the footprint summed over :meth:`of_func` in its
+        (container-id) order. One pass instead of five calls per
+        function, for the time-series recorder."""
+        for func, index in self._by_func.items():
+            yield (func, len(index.idle), len(index.busy),
+                   len(index.provisioning),
+                   sum(map(_memory_mb, index.members.values())))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Worker {self.worker_id} used={self._used_mb:.0f}/"

@@ -131,10 +131,19 @@ def pack_trace(trace) -> PackedTrace:
     requests = trace.requests
     arrival = array("d", (r.arrival_ms for r in requests))
     execs = array("d", (r.exec_ms for r in requests))
-    fidx = array(typecode, (index[r.func] for r in requests))
+    try:
+        fidx = array(typecode, (index[r.func] for r in requests))
+    except KeyError:
+        row = next(i for i, r in enumerate(requests) if r.func not in index)
+        raise ValueError(
+            f"trace {trace.name!r}: row {row} targets unknown function "
+            f"{requests[row].func!r}") from None
     for i in range(1, len(arrival)):
         if arrival[i] < arrival[i - 1]:
-            raise ValueError("arrivals must be non-decreasing")
+            raise ValueError(
+                f"trace {trace.name!r}: arrivals must be non-decreasing, "
+                f"but row {i} arrives at {arrival[i]!r} ms, before row "
+                f"{i - 1} at {arrival[i - 1]!r} ms")
     digest = getattr(trace, "_content_digest", None)
     return PackedTrace(trace.name, functions, arrival, execs, fidx,
                        digest=digest)

@@ -25,10 +25,21 @@ class Trace:
 
     def __post_init__(self) -> None:
         known = {f.name for f in self.functions}
+        if len(known) != len(self.functions):
+            seen = set()
+            for spec in self.functions:
+                if spec.name in seen:
+                    raise ValueError(
+                        f"trace {self.name!r}: duplicate function name "
+                        f"{spec.name!r}")
+                seen.add(spec.name)
         for req in self.requests:
             if req.func not in known:
+                index = next(i for i, r in enumerate(self.requests)
+                             if r is req)
                 raise ValueError(
-                    f"request targets unknown function {req.func!r}")
+                    f"trace {self.name!r}: request {index} targets "
+                    f"unknown function {req.func!r}")
         self.requests.sort(key=lambda r: r.arrival_ms)
         for i, req in enumerate(self.requests):
             req.req_id = i

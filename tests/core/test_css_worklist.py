@@ -59,6 +59,9 @@ class StubContext:
     def waiting_functions(self):
         return [func for func, count in self.waiting.items() if count]
 
+    def any_waiting(self):
+        return any(self.waiting.values())
+
     def waiting_among(self, funcs):
         return [func for func in self.waiting_functions() if func in funcs]
 

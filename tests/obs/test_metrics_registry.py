@@ -99,6 +99,73 @@ class TestCounterGauge:
             family.labels(worker="w0")
 
 
+class TestBoundChildren:
+    """``child(*values)`` and ``counter_child``: validated on first use,
+    a lookup after, and exported exactly like ``labels(**kw)``."""
+
+    def test_child_is_the_labels_child_and_memoised(self):
+        family = MetricsRegistry().counter("x_total",
+                                           labelnames=("func", "to"))
+        child = family.child("f", "on")
+        assert child is family.labels(func="f", to="on")
+        assert family.child("f", "on") is child
+
+    def test_child_rejects_wrong_arity(self):
+        family = MetricsRegistry().counter("x_total",
+                                           labelnames=("func",))
+        with pytest.raises(ValueError):
+            family.child("f", "extra")
+        with pytest.raises(ValueError):
+            family.child()
+        with pytest.raises(ValueError):
+            family.inc()
+
+    def test_unlabelled_family_keeps_one_child(self):
+        reg = MetricsRegistry()
+        family = reg.counter("x_total")
+        assert reg.snapshot()["x_total"]["samples"] == []
+        family.inc()
+        family.inc(2.0)
+        assert family.child() is family.labels()
+        assert reg.snapshot()["x_total"]["samples"] == [
+            {"labels": {}, "value": 3.0}]
+
+    def test_children_appear_only_once_used(self):
+        reg = MetricsRegistry()
+        family = reg.counter("x_total", labelnames=("type",))
+        family.child("warm").inc()
+        assert [s["labels"] for s in reg.snapshot()["x_total"]["samples"]] \
+            == [{"type": "warm"}]
+
+    def test_counter_child_registers_lazily_and_validates(self):
+        reg = MetricsRegistry()
+        assert "x_total" not in reg
+        child = reg.counter_child("x_total", "help", ("branch",), ("a",))
+        assert "x_total" in reg
+        assert child is reg.counter_child("x_total", "help", ("branch",),
+                                          ("a",))
+        assert child is reg.counter("x_total").labels(branch="a")
+        with pytest.raises(ValueError):
+            reg.counter_child("x_total", "help", ("other",), ("b",))
+        reg.gauge("g")
+        with pytest.raises(ValueError):
+            reg.counter_child("g", "help")
+
+    def test_same_exports_as_labels(self):
+        by_labels, by_child = MetricsRegistry(), MetricsRegistry()
+        for reg in (by_labels, by_child):
+            reg.counter("a_total", "A", labelnames=("k",))
+            reg.histogram("h_ms", "H", buckets=(1.0, 10.0))
+        for value, key in ((0.5, "x"), (5.0, "y"), (50.0, "x")):
+            by_labels.counter("a_total").labels(k=key).inc(value)
+            by_labels.histogram("h_ms").labels().observe(value)
+            by_child.counter("a_total").child(key).inc(value)
+            by_child.histogram("h_ms").observe(value)
+        assert by_labels.snapshot() == by_child.snapshot()
+        assert by_labels.render_prometheus() == \
+            by_child.render_prometheus()
+
+
 class TestHistogram:
     def test_le_edges_are_inclusive(self):
         h = Histogram((10.0, 100.0))

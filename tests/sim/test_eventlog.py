@@ -124,3 +124,37 @@ class TestEventLog:
                             SimulationConfig(capacity_gb=1.0))
         orch.run([Request("fn", 0.0, 10.0)])
         assert orch.event_log is None
+
+
+class TestEventRecord:
+    """``Event`` is tuple-backed; its fields, defaults and text forms are
+    those of the frozen dataclass it replaced."""
+
+    def test_fields_defaults_and_text(self):
+        event = Event(1.5, EventKind.ARRIVAL, "fn")
+        assert Event._fields == ("time_ms", "kind", "func", "container_id",
+                                 "req_id", "detail", "worker_id")
+        assert (event.container_id, event.req_id, event.detail,
+                event.worker_id) == (None, None, "", None)
+        assert repr(event) == ("Event(time_ms=1.5, kind=<EventKind.ARRIVAL:"
+                               " 'arrival'>, func='fn', container_id=None,"
+                               " req_id=None, detail='', worker_id=None)")
+        full = Event(2.0, EventKind.EXEC_START, "fn", 3, 4, "warm", 0)
+        assert str(full) == "  ".join([f"{2.0:12.3f}", "exec_start", "fn",
+                                       "w0", "c3", "r4", "warm"])
+        with pytest.raises(AttributeError):
+            full.detail = "cold"
+
+    def test_record_builds_the_same_event(self):
+        seen = []
+
+        class Sink:
+            def emit(self, event):
+                seen.append(event)
+
+        args = (2.0, EventKind.EXEC_START, "fn", 3, 4, "warm", 0)
+        log = EventLog(sinks=[Sink()])
+        log.record(*args)
+        EventLog().record(*args)  # no sinks attached
+        assert list(log) == seen == [Event(*args)]
+        assert type(seen[0]) is Event

@@ -63,6 +63,10 @@ class _FakeWorker:
     def of_func(self, func):
         return []
 
+    def census(self):
+        return [(func, self.idle_count(func), self.busy_count(func),
+                 self.provisioning_count(func), 0) for func in self._funcs]
+
 
 class _FakeCtx:
     def __init__(self, worker):

@@ -297,6 +297,124 @@ class TestTimeSeries:
             TimeSeriesRecorder(interval_ms=0.0)
 
 
+class _OneWorker:
+    """Orchestrator and worker stand-in: ``state`` maps each hosted
+    function to its ``(idle, busy, provisioning, memory_mb)``."""
+
+    used_mb = 0.0
+
+    def __init__(self):
+        self.now = 0.0
+        self.state = {}
+
+    def workers(self):
+        return [self]
+
+    def census(self):
+        return [(func, *counts) for func, counts in self.state.items()]
+
+
+#: Per tick: hosted functions, then the starts noted before the tick.
+SCRIPT = [
+    ({"a": (1, 0, 0, 128.0)}, {}),
+    ({"a": (1, 0, 0, 128.0)}, {"b": "cold"}),
+    ({}, {}),
+    ({}, {"a": "warm"}),
+    ({"b": (0, 1, 0, 64.0)}, {}),
+    ({}, {}),
+    ({}, {}),
+    ({"a": (0, 0, 1, 128.0)}, {}),
+    ({}, {}),
+]
+
+
+def _expected_rows(script):
+    """Every function seen so far gets one row per tick."""
+    rows = {}
+    for counts, starts in script:
+        for func in list(counts) + list(starts):
+            rows.setdefault(func, [])
+        for func, series in rows.items():
+            idle, busy, prov, mb = counts.get(func, (0, 0, 0, 0.0))
+            start = starts.get(func)
+            series.append((idle, busy, prov, mb,
+                           int(start == "warm"), int(start == "delayed"),
+                           int(start == "cold")))
+    return rows
+
+
+class TestQuietSeries:
+    """A function with no container and no start is left alone by the
+    recorder and owes zero rows, materialised when read or sampled."""
+
+    @staticmethod
+    def _replay(script, read_after=()):
+        recorder = TimeSeriesRecorder(1_000.0)
+        orch = _OneWorker()
+        reads = {}
+        for tick, (counts, starts) in enumerate(script):
+            for func, start_type in starts.items():
+                recorder.note_start(func, start_type, orch.now)
+            orch.state = counts
+            orch.now = 1_000.0 * tick
+            recorder.sample(orch)
+            if tick in read_after:
+                reads[tick] = {f: s.as_dict()
+                               for f, s in recorder.functions.items()}
+        return recorder, reads
+
+    @staticmethod
+    def _as_rows(series_dict):
+        starts = series_dict["starts"]
+        return list(zip(series_dict["idle"], series_dict["busy"],
+                        series_dict["provisioning"],
+                        series_dict["memory_mb"], starts["warm"],
+                        starts["delayed"], starts["cold"]))
+
+    def test_rows_match_one_row_per_tick(self):
+        recorder, _ = self._replay(SCRIPT)
+        expected = _expected_rows(SCRIPT)
+        assert list(recorder.functions) == ["a", "b"]
+        grid = recorder.cluster.times
+        for func, rows in expected.items():
+            series = recorder.functions[func]
+            assert len(series) == len(rows)
+            assert series.times == grid[-len(rows):]
+            assert self._as_rows(series.as_dict()) == rows
+            assert series.warm == [r[0] + r[1] for r in rows]
+
+    def test_reads_mid_run_see_every_tick_so_far(self):
+        recorder, reads = self._replay(SCRIPT, read_after=(2, 5, 6))
+        for tick, snapshot in reads.items():
+            expected = _expected_rows(SCRIPT[:tick + 1])
+            for func, rows in expected.items():
+                assert self._as_rows(snapshot[func]) == rows
+        # Reading mid-run changes nothing that is read later.
+        fresh, _ = self._replay(SCRIPT)
+        assert recorder.as_dict() == fresh.as_dict()
+
+    def test_unchanged_rows_share_one_tuple(self):
+        recorder, _ = self._replay(SCRIPT)
+        series = recorder.functions["a"]
+        len(series)  # materialise the owed rows
+        rows = series._rows
+        assert rows[0] is rows[1]          # same counts, no start
+        assert rows[2] is rows[4] is rows[6]   # zero rows
+        assert rows[3] is not rows[2]      # a warm start
+
+    def test_columns_follow_appends(self):
+        recorder = TimeSeriesRecorder(1_000.0)
+        orch = _OneWorker()
+        orch.state = {"a": (2, 1, 0, 256.0)}
+        recorder.sample(orch)
+        series = recorder.functions["a"]
+        assert series.warm == [3]
+        orch.state, orch.now = {}, 1_000.0
+        recorder.sample(orch)
+        assert series.warm == [3, 0]
+        assert series.memory_mb == [256.0, 0.0]
+
+
 # ======================================================================
 # Telemetry must not perturb the simulation
 

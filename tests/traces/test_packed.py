@@ -107,3 +107,27 @@ def test_non_monotonic_arrivals_rejected():
     with pytest.raises(ValueError, match="non-decreasing"):
         pack_trace(SimpleNamespace(name="bad", functions=[func],
                                    requests=reqs))
+
+
+def test_decreasing_arrival_names_both_rows():
+    func = SimpleNamespace(name="f", memory_mb=1.0)
+    reqs = [SimpleNamespace(func="f", arrival_ms=t, exec_ms=1.0)
+            for t in (1.0, 10.0, 10.0, 5.0)]
+    with pytest.raises(ValueError,
+                       match=r"trace 'bad': arrivals must be non-decreasing, "
+                             r"but row 3 arrives at 5\.0 ms, before row 2 "
+                             r"at 10\.0 ms"):
+        pack_trace(SimpleNamespace(name="bad", functions=[func],
+                                   requests=reqs))
+
+
+def test_unknown_function_names_row():
+    """Was a bare ``KeyError`` (a trace mutated after construction)."""
+    func = SimpleNamespace(name="f", memory_mb=1.0)
+    reqs = [SimpleNamespace(func=name, arrival_ms=float(i), exec_ms=1.0)
+            for i, name in enumerate(("f", "f", "ghost", "f"))]
+    with pytest.raises(ValueError,
+                       match="trace 'bad': row 2 targets unknown function "
+                             "'ghost'"):
+        pack_trace(SimpleNamespace(name="bad", functions=[func],
+                                   requests=reqs))

@@ -47,6 +47,23 @@ class TestSchema:
             Trace("t", [FunctionSpec("a", 1, 1)],
                   [Request("ghost", 0.0, 1.0)])
 
+    def test_unknown_function_names_request_index_and_function(self):
+        """The index is the request's position as given, before the
+        arrival sort."""
+        with pytest.raises(ValueError,
+                           match=r"trace 't': request 2 targets unknown "
+                                 r"function 'ghost'"):
+            Trace("t", [FunctionSpec("a", 1, 1)],
+                  [Request("a", 9.0, 1.0), Request("a", 5.0, 1.0),
+                   Request("ghost", 0.0, 1.0), Request("ghost", 1.0, 1.0)])
+
+    def test_duplicate_function_name_rejected(self):
+        with pytest.raises(ValueError,
+                           match="trace 't': duplicate function name 'a'"):
+            Trace("t", [FunctionSpec("a", 1, 1), FunctionSpec("b", 1, 1),
+                        FunctionSpec("a", 2, 1)],
+                  [Request("a", 0.0, 1.0)])
+
     def test_fresh_requests_are_copies(self, trace):
         fresh = trace.fresh_requests()
         fresh[0].start_ms = 123.0
