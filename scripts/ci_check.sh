@@ -165,6 +165,23 @@ if grep -Eq "worker_crashes +0\.000" "$tmpdir/chaos-plain.txt"; then
 fi
 echo "chaos replay deterministic under the sanitizer, crashes injected"
 
+echo "== hostile fault-plan smoke (rejected before the replay) =="
+# A NaN multiplier once replayed to a wrong answer or failed mid-replay
+# with an engine error naming no spec; it must stop the CLI at once,
+# naming the plan entry and the field.
+printf '%s\n' '{"stragglers": [{"worker_id": 0, "start_ms": 0.0,' \
+    '  "end_ms": 1000.0, "exec_multiplier": NaN}]}' \
+    > "$tmpdir/bad-plan.json"
+if timeout 60 python -m repro.cli run --preset azure --requests 1500 \
+        --seed 3 --policy CIDRE --capacity-gb 4 --workers 2 \
+        --faults "$tmpdir/bad-plan.json" > /dev/null \
+        2> "$tmpdir/bad-plan.log"; then
+    echo "FATAL: a fault plan with a NaN multiplier was accepted" >&2
+    exit 1
+fi
+grep -q "stragglers\[0\]: exec_multiplier" "$tmpdir/bad-plan.log"
+echo "hostile fault plan rejected: $(tail -n 1 "$tmpdir/bad-plan.log")"
+
 echo "== blame smoke (causal attribution on the chaos trace) =="
 # Attribution + outcome resolution over the seeded chaos run. The check
 # is non-vacuous: at least one cold start must be blamed on an audited

@@ -118,7 +118,10 @@ def _fault_plan(args: argparse.Namespace, trace: Trace):
     from the seed, the worker count, and the trace duration."""
     if getattr(args, "faults", None):
         from repro.sim.faults import FaultPlan
-        return FaultPlan.from_json(args.faults)
+        try:
+            return FaultPlan.from_json(args.faults)
+        except ValueError as exc:
+            raise SystemExit(f"invalid --faults {args.faults}: {exc}")
     chaos_seed = getattr(args, "chaos_seed", None)
     if chaos_seed is not None:
         from repro.sim.faults import random_plan

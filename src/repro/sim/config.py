@@ -54,8 +54,9 @@ class SimulationConfig:
     faults:
         Optional :class:`~repro.sim.faults.FaultPlan`: scheduled worker
         crashes/restarts, straggler windows and heterogeneous worker
-        classes. ``None`` (the default) keeps the fault layer provably
-        inert — the event stream is bit-identical to a faults-free build.
+        classes. ``None`` (the default) runs as the empty plan, which
+        crashes nothing and scales nothing, so the event stream is
+        bit-identical to one with ``FaultPlan()``.
     fast_forward:
         Skip maintenance ticks the policy proves inert: while no blocked
         provision waits and a tick lies before the policy's

@@ -56,6 +56,8 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+from repro.sim.faults import check_count, check_finite
+
 #: Schema tag written by :meth:`ContentionModel.to_dict`.
 MODEL_SCHEMA = "repro/contention-model/v1"
 
@@ -86,10 +88,8 @@ class ContentionModel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "table", tuple(
             (name, tuple(factors)) for name, factors in self.table))
-        if self.cores < 1:
-            raise ValueError("cores must be >= 1")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        check_count("cores", self.cores, low=1)
+        check_finite("alpha", self.alpha)
         seen: Dict[str, bool] = {}
         for name, factors in self.table:
             if not name:
@@ -99,9 +99,9 @@ class ContentionModel:
             seen[name] = True
             if not factors:
                 raise ValueError(f"table entry {name!r} lists no factors")
-            if any(f <= 0 for f in factors):
-                raise ValueError(
-                    f"table entry {name!r}: factors must be > 0")
+            for i, factor in enumerate(factors):
+                check_finite(f"table entry {name!r} factor {i}", factor,
+                             strict=True)
         # Lookup cache (not a field: equality/hash/pickle use the tuple).
         object.__setattr__(self, "_lookup", dict(self.table))
 

@@ -34,8 +34,8 @@ class EventKind(enum.Enum):
     EVICTION = "eviction"
     COMPRESSION = "compression"
     RESTORE_START = "restore_start"
-    # Fault-injection events (repro.sim.faults); only emitted when a
-    # FaultPlan is configured.
+    # Fault-injection events (repro.sim.faults); only emitted when the
+    # FaultPlan schedules crashes.
     WORKER_CRASH = "worker_crash"
     WORKER_RESTART = "worker_restart"
     REQUEST_ORPHANED = "request_orphaned"

@@ -28,10 +28,17 @@ Fault model
 
 Determinism contract
 --------------------
-``SimulationConfig(faults=None)`` — and equally an empty
-``FaultPlan()`` — is *inert*: the orchestrator takes byte-identical
-decisions and emits a byte-identical event stream to a build without
-this module (pinned by ``tests/sim/test_faults_differential.py``).
+There is one fault-layer code path. The orchestrator runs
+``SimulationConfig(faults=None)`` as the empty ``FaultPlan()``, which
+crashes nothing and whose every multiplier is exactly 1.0, so such a
+run takes the same decisions and emits the same event stream as one
+without faults (pinned by ``tests/sim/test_faults_differential.py``).
+
+Every spec checks its fields at construction: a negative, NaN or
+infinite time, delay, capacity or multiplier, or a worker id that is not
+a non-negative integer, raises :class:`ValueError` naming the field and
+the value, so a hostile plan fails before the replay starts.
+:meth:`FaultPlan.from_dict` prefixes the entry (``stragglers[0]: ...``).
 
 All specs are frozen dataclasses over tuples: hashable (so
 ``SimulationConfig`` stays hashable), picklable (so fault plans travel
@@ -44,10 +51,29 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field, replace
+from math import inf
+from numbers import Integral
 from typing import Dict, List, Optional, Tuple
 
 #: Schema tag written by :meth:`FaultPlan.to_dict`.
 PLAN_SCHEMA = "repro/fault-plan/v1"
+
+
+def check_count(name: str, value, low: int = 0) -> None:
+    """Reject ``value`` unless it is an integer ``>= low``."""
+    if not isinstance(value, Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_finite(name: str, value: float, low: float = 0.0,
+                 strict: bool = False) -> None:
+    """Reject ``value`` unless ``low <= value < inf`` (``low < value``
+    when ``strict``). NaN fails both comparisons, so it is rejected
+    too."""
+    if not (low < value < inf if strict else low <= value < inf):
+        bound = ">" if strict else ">="
+        raise ValueError(
+            f"{name} must be finite and {bound} {low!r}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -68,10 +94,8 @@ class RetryPolicy:
     retry_delay_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.retry_delay_ms < 0:
-            raise ValueError("retry_delay_ms must be >= 0")
+        check_count("max_retries", self.max_retries)
+        check_finite("retry_delay_ms", self.retry_delay_ms)
 
 
 @dataclass(frozen=True)
@@ -84,12 +108,10 @@ class CrashSpec:
     restart_delay_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.worker_id < 0:
-            raise ValueError("worker_id must be >= 0")
-        if self.at_ms < 0:
-            raise ValueError("at_ms must be >= 0")
-        if self.restart_delay_ms is not None and self.restart_delay_ms < 0:
-            raise ValueError("restart_delay_ms must be >= 0 or None")
+        check_count("worker_id", self.worker_id)
+        check_finite("at_ms", self.at_ms)
+        if self.restart_delay_ms is not None:
+            check_finite("restart_delay_ms", self.restart_delay_ms)
 
 
 @dataclass(frozen=True)
@@ -103,14 +125,14 @@ class StragglerSpec:
     cold_multiplier: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.worker_id < 0:
-            raise ValueError("worker_id must be >= 0")
-        if self.start_ms < 0:
-            raise ValueError("start_ms must be >= 0")
-        if self.end_ms <= self.start_ms:
-            raise ValueError("end_ms must be > start_ms")
-        if self.exec_multiplier <= 0 or self.cold_multiplier <= 0:
-            raise ValueError("multipliers must be > 0")
+        check_count("worker_id", self.worker_id)
+        check_finite("start_ms", self.start_ms)
+        if not self.start_ms < self.end_ms < inf:
+            raise ValueError(
+                f"end_ms must be finite and > start_ms "
+                f"({self.start_ms!r}), got {self.end_ms!r}")
+        check_finite("exec_multiplier", self.exec_multiplier, strict=True)
+        check_finite("cold_multiplier", self.cold_multiplier, strict=True)
 
     def covers(self, now: float) -> bool:
         return self.start_ms <= now < self.end_ms
@@ -132,13 +154,15 @@ class WorkerClassSpec:
             raise ValueError("worker class needs a name")
         if not self.workers:
             raise ValueError(f"class {self.name!r} lists no workers")
-        if any(w < 0 for w in self.workers):
-            raise ValueError(f"class {self.name!r}: worker ids must be >= 0")
-        if self.memory_mb is not None and self.memory_mb <= 0:
-            raise ValueError(f"class {self.name!r}: memory_mb must be > 0")
-        if self.cold_start_multiplier <= 0:
-            raise ValueError(
-                f"class {self.name!r}: cold_start_multiplier must be > 0")
+        try:
+            for i, wid in enumerate(self.workers):
+                check_count(f"workers[{i}]", wid)
+            if self.memory_mb is not None:
+                check_finite("memory_mb", self.memory_mb, strict=True)
+            check_finite("cold_start_multiplier", self.cold_start_multiplier,
+                         strict=True)
+        except ValueError as exc:
+            raise ValueError(f"class {self.name!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -308,13 +332,20 @@ class FaultPlan:
         schema = payload.get("schema", PLAN_SCHEMA)
         if schema != PLAN_SCHEMA:
             raise ValueError(f"unknown fault-plan schema {schema!r}")
-        retry = RetryPolicy(**payload.get("retry", {}))
-        crashes = tuple(CrashSpec(**c) for c in payload.get("crashes", []))
-        stragglers = tuple(StragglerSpec(**s)
-                           for s in payload.get("stragglers", []))
-        classes = tuple(WorkerClassSpec(**k)
-                        for k in payload.get("worker_classes", []))
-        return cls(crashes, stragglers, classes, retry)
+        def build(where: str, spec_cls, entry: dict):
+            try:
+                return spec_cls(**entry)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{where}: {exc}") from exc
+
+        def build_all(key: str, spec_cls) -> tuple:
+            return tuple(build(f"{key}[{i}]", spec_cls, entry)
+                         for i, entry in enumerate(payload.get(key, [])))
+
+        return cls(build_all("crashes", CrashSpec),
+                   build_all("stragglers", StragglerSpec),
+                   build_all("worker_classes", WorkerClassSpec),
+                   build("retry", RetryPolicy, payload.get("retry", {})))
 
     def to_json(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

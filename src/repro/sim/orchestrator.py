@@ -36,7 +36,7 @@ from repro.sim.config import SimulationConfig
 from repro.sim.container import Container, ContainerState
 from repro.sim.engine import Event, Simulator
 from repro.sim.eventlog import EventKind, EventLog
-from repro.sim.faults import CrashSpec
+from repro.sim.faults import CrashSpec, FaultPlan
 from repro.sim.function import FunctionSpec
 from repro.sim.metrics import MetricsCollector, SimulationResult
 from repro.sim.request import Request, StartType
@@ -194,26 +194,23 @@ class Orchestrator:
             self.specs[spec.name] = spec
         self._usage = _ClusterUsage()
         self._used_mb_cache = 0.0
-        #: The fault schedule, or None. Every fault-layer code path below
-        #: is gated on this being set, keeping faults-off runs
-        #: bit-identical to a build without the fault layer.
-        self._faults = self.config.faults
-        if self._faults is None:
-            capacities = [self.config.per_worker_mb] * self.config.workers
-        else:
-            capacities = [
-                self._faults.worker_capacity_mb(i, self.config.per_worker_mb)
-                for i in range(self.config.workers)]
+        #: The fault schedule. No plan is the empty plan: it crashes
+        #: nothing and every factor it yields is exactly 1.0, so the same
+        #: code replays faults-off runs bit-identically.
+        self._faults = faults = self.config.faults or FaultPlan()
+        capacities = [faults.worker_capacity_mb(i, self.config.per_worker_mb)
+                      for i in range(self.config.workers)]
         self._workers: List[Worker] = [
             Worker(i, capacities[i], naive=self._naive, usage=self._usage,
                    order_key=policy.group_key)
             for i in range(self.config.workers)
         ]
-        if self._faults is not None:
-            for worker in self._workers:
-                cls = self._faults.class_of(worker.worker_id)
-                if cls is not None:
-                    worker.wclass = cls.name
+        for worker in self._workers:
+            cls = faults.class_of(worker.worker_id)
+            if cls is not None:
+                worker.wclass = cls.name
+        #: The online workers, in worker order.
+        self._online: List[Worker] = list(self._workers)
         # Every function must fit every worker: crashes and dispatch
         # filtering mean any function can land on any (online) worker.
         floor_mb = min(capacities)
@@ -222,17 +219,15 @@ class Orchestrator:
                 raise ValueError(
                     f"{spec.name} needs {spec.memory_mb} MB but each worker "
                     f"has only {floor_mb} MB")
-        #: The CPU-contention model, or None. Gated exactly like
-        #: ``_faults``: contention-off runs take byte-identical code
-        #: paths to a build without the contention layer.
+        #: The CPU-contention model, or None. Contention-off runs keep the
+        #: classic one-event-per-execution completion path.
         self._contention = self.config.contention
         #: Progress-based completions are needed whenever execution
         #: rates can change mid-flight: under a contention model, or
         #: under straggler windows that scale execution time (whose
         #: mid-window edges the sampled-once model silently ignored).
         self._progress = (self._contention is not None
-                          or (self._faults is not None
-                              and self._faults.has_exec_stragglers()))
+                          or faults.has_exec_stragglers())
         #: req_id -> live progress ledger (progress mode only).
         self._execs: Dict[int, _ExecProgress] = {}
         #: worker_id -> {req_id -> ledger} of co-located executions, in
@@ -254,12 +249,11 @@ class Orchestrator:
         self._overridden = frozenset(name for name, _ in overrides)
         #: worker_id -> armed straggler-window boundary event.
         self._rate_events: Dict[int, object] = {}
-        #: req_id -> in-flight execution event (fault layer outside
-        #: progress mode; lets a crash cancel the completions of
-        #: destroyed containers in O(1)).
+        #: req_id -> in-flight execution event outside progress mode; lets
+        #: a crash cancel the completions of destroyed containers in O(1).
         self._exec_events: Dict[int, object] = {}
         #: container_id -> (ready event, bound waiter) for provisions and
-        #: restores in flight (fault layer only).
+        #: restores in flight.
         self._provision_events: Dict[int, tuple] = {}
         #: Pending restart times of currently-offline workers.
         self._restart_times: List[float] = []
@@ -396,7 +390,7 @@ class Orchestrator:
         start a container for it after all). Returns False when the
         provision had to be deferred for memory.
         """
-        if self._faults is not None and not self._any_online():
+        if not self._online:
             return False
         worker = self._dispatch(func)
         container = self._provision(self.specs[func], worker, waiter=None,
@@ -467,7 +461,7 @@ class Orchestrator:
 
     def prewarm(self, spec: FunctionSpec, worker: Worker) -> bool:
         """Provision a container ahead of demand (IceBreaker / ENSURE)."""
-        if self._faults is not None and not worker.online:
+        if not worker.online:
             return False
         if not self.policy.make_room(worker, spec.memory_mb, self.sim.now,
                                      for_func=spec.name):
@@ -513,9 +507,8 @@ class Orchestrator:
                     raise KeyError(
                         f"request targets unknown function {req.func}")
                 self.sim.at(req.arrival_ms, self._on_arrival, req)
-        if self._faults is not None:
-            for crash in self._faults.crashes_sorted():
-                self.sim.at(crash.at_ms, self._on_worker_crash, crash)
+        for crash in self._faults.crashes_sorted():
+            self.sim.at(crash.at_ms, self._on_worker_crash, crash)
         sampler = maintenance = None
         if self.config.memory_sample_interval_ms > 0:
             sampler = self.sim.every(self.config.memory_sample_interval_ms,
@@ -563,7 +556,7 @@ class Orchestrator:
     # Arrival path
 
     def _on_arrival(self, request: Request) -> None:
-        if self._faults is not None and not self._any_online():
+        if not self._online:
             self._defer_or_fail(request, self._on_arrival)
             return
         now = self.sim.now
@@ -633,13 +626,7 @@ class Orchestrator:
         return decision
 
     # ==================================================================
-    # Fault injection (every path below requires self._faults)
-
-    def _any_online(self) -> bool:
-        for worker in self._workers:
-            if worker.online:
-                return True
-        return False
+    # Fault injection
 
     def _next_restart(self) -> Optional[float]:
         return min(self._restart_times) if self._restart_times else None
@@ -679,6 +666,7 @@ class Orchestrator:
             self._restart_times.append(restart_at)
             self.sim.at(restart_at, self._on_worker_restart, worker)
         victims = worker.crash()
+        self._online.remove(worker)
         # Provisions died with the worker and blocked ones may move:
         # every function's in-flight count is suspect.
         self._changed.update(self.specs)
@@ -725,33 +713,39 @@ class Orchestrator:
             else:
                 self._fail_request(request, "exec:exhausted",
                                    worker_id=worker.worker_id)
-        if self._progress:
-            self._drop_progress_worker(worker.worker_id)
+        self._drop_progress_worker(worker.worker_id)
         for waiter in rebind:
             self._rebind_waiter(waiter)
-        # Blocked provisions aimed at the dead worker move to a live one;
-        # if nothing is online they stay put until a restart retries them.
-        if self._any_online():
-            for pend in self._pending:
-                if pend.worker is worker:
-                    pend.worker = self._dispatch(pend.spec.name)
+        if self._online:
+            self._move_stranded_provisions()
         self._rescue_starved()
 
     def _on_worker_restart(self, worker: Worker) -> None:
         now = self.sim.now
         self._restart_times.remove(now)
         worker.restart()
+        self._online = [w for w in self._workers if w.online]
         self._log(EventKind.WORKER_RESTART, "", worker_id=worker.worker_id)
         self.policy.on_worker_restart(worker, now)
         if self._pending:
+            self._move_stranded_provisions()
             self._schedule_retry()
+
+    def _move_stranded_provisions(self) -> None:
+        """Move blocked provisions aimed at an offline worker to a live
+        one. A crash moves them when anything is still online; those
+        stranded by a total outage move at the first restart, since
+        their worker may never come back."""
+        for pend in self._pending:
+            if not pend.worker.online:
+                pend.worker = self._dispatch(pend.spec.name)
 
     def _on_reassigned(self, request: Request) -> None:
         """Re-dispatch an orphaned (or starved) request as a fresh demand
         signal on a surviving worker."""
         if request.failed:  # pragma: no cover - defensive
             return
-        if not self._any_online():
+        if not self._online:
             self._defer_or_fail(request, self._on_reassigned)
             return
         now = self.sim.now
@@ -774,7 +768,7 @@ class Orchestrator:
         if waiter.served:  # pragma: no cover - defensive
             return
         request = waiter.request
-        if not self._any_online():
+        if not self._online:
             restart_at = self._next_restart()
             if restart_at is None:
                 waiter.served = True
@@ -798,9 +792,7 @@ class Orchestrator:
         blocked + in-flight provisions and busy containers on online
         workers."""
         count = self._pending_by_func.get(func, 0)
-        for worker in self._workers:
-            if not worker.online:
-                continue
+        for worker in self._online:
             if self._naive:
                 count += (len(worker.busy_of(func))
                           + len(worker.provisioning_of(func)))
@@ -878,19 +870,7 @@ class Orchestrator:
         if self._m_provisions is not None:
             self._m_provisions.child(kind).inc()
         self.policy.on_provision_started(container, now)
-        if self._faults is not None:
-            # Integrate the cold rate across straggler-window edges
-            # instead of freezing the factor sampled at dispatch: a
-            # window that ends (or begins) mid-provision changes the
-            # remaining wall time. With no edge straddled this is the
-            # single sampled multiply, bit-for-bit.
-            event = self.sim.at(
-                self._faults.cold_finish_ms(worker.worker_id, now, cost),
-                self._on_ready, container, waiter)
-            self._provision_events[container.container_id] = (event, waiter)
-        else:
-            event = self.sim.schedule(cost, self._on_ready, container,
-                                      waiter)
+        self._schedule_ready(container, worker, waiter, cost)
         return container
 
     def _begin_restore(self, container: Container, request: Request,
@@ -916,22 +896,28 @@ class Orchestrator:
         waiter = _Waiter(request, may_use_busy=False, bound=container)
         self._enqueue_waiter(waiter)
         self.metrics.restores += 1
-        cost = self.policy.restore_cost_ms(container.spec)
-        if self._faults is not None:
-            # Same piecewise integration as _begin_provision.
-            event = self.sim.at(
-                self._faults.cold_finish_ms(worker.worker_id, now, cost),
-                self._on_ready, container, waiter)
-            self._provision_events[container.container_id] = (event, waiter)
-        else:
-            event = self.sim.schedule(cost, self._on_ready, container,
-                                      waiter)
+        self._schedule_ready(container, worker, waiter,
+                             self.policy.restore_cost_ms(container.spec))
         return True
+
+    def _schedule_ready(self, container: Container, worker: Worker,
+                        waiter: Optional[_Waiter], cost: float) -> None:
+        """Schedule ``container``'s ready event after ``cost`` ms of
+        provisioning or restore work on ``worker``.
+
+        The cold rate is integrated across straggler-window edges instead
+        of freezing the factor sampled now: a window that ends (or
+        begins) mid-provision changes the remaining wall time. With no
+        edge straddled this is the single sampled multiply, bit-for-bit.
+        """
+        event = self.sim.at(
+            self._faults.cold_finish_ms(worker.worker_id, self.sim.now, cost),
+            self._on_ready, container, waiter)
+        self._provision_events[container.container_id] = (event, waiter)
 
     def _on_ready(self, container: Container,
                   waiter: Optional[_Waiter]) -> None:
-        if self._faults is not None:
-            self._provision_events.pop(container.container_id, None)
+        self._provision_events.pop(container.container_id, None)
         if container.state is ContainerState.EVICTED:  # pragma: no cover
             return
         now = self.sim.now
@@ -1033,20 +1019,16 @@ class Orchestrator:
             self._begin_progress_exec(container, request)
             return
         exec_ms = request.exec_ms
-        if self._faults is not None and container.worker is not None:
+        if container.worker is not None:
             exec_ms = exec_ms * self._faults.exec_multiplier(
                 container.worker.worker_id, now)
-        event = self.sim.schedule(exec_ms, self._on_complete, container,
-                                  request)
-        if self._faults is not None:
-            self._exec_events[request.req_id] = event
+        self._exec_events[request.req_id] = self.sim.schedule(
+            exec_ms, self._on_complete, container, request)
 
     def _on_complete(self, container: Container, request: Request) -> None:
         now = self.sim.now
-        if self._faults is not None:
-            self._exec_events.pop(request.req_id, None)
-        state = (self._finish_progress_exec(request, container)
-                 if self._progress else None)
+        self._exec_events.pop(request.req_id, None)
+        state = self._finish_progress_exec(request, container)
         container.finish_request(request, now)
         request.end_ms = now
         detail = ""
@@ -1100,9 +1082,7 @@ class Orchestrator:
             factor = contention.slowdown(busy, func)
         else:
             factor = contention.curve(busy)
-        if self._faults is not None:
-            factor = factor * self._faults.exec_multiplier(worker_id, now)
-        return factor
+        return factor * self._faults.exec_multiplier(worker_id, now)
 
     def _begin_progress_exec(self, container: Container,
                              request: Request) -> None:
@@ -1130,8 +1110,7 @@ class Orchestrator:
                              state if state.key < head.key else head)
         table[request.req_id] = state
         self._execs[request.req_id] = state
-        if self._faults is not None:
-            self._arm_rate_boundary(worker_id)
+        self._arm_rate_boundary(worker_id)
 
     def _retime_worker(self, worker_id: int,
                        table: Dict[int, _ExecProgress], busy: int,
@@ -1280,9 +1259,9 @@ class Orchestrator:
 
     def _arm_rate_boundary(self, worker_id: int) -> None:
         """Wake up at the next straggler-window edge that changes
-        ``worker_id``'s execution rate (fault layer only). Armed only
-        while executions are running there — an edge over an idle worker
-        affects nothing until the next start samples the rate fresh."""
+        ``worker_id``'s execution rate. Armed only while executions are
+        running there — an edge over an idle worker affects nothing
+        until the next start samples the rate fresh."""
         if worker_id in self._rate_events:
             return
         edge = self._faults.next_exec_boundary(worker_id, self.sim.now)
@@ -1392,11 +1371,10 @@ class Orchestrator:
         # later retry. When every online worker is stuck, the rest of the
         # queue stays as it is.
         stuck_workers: set = set()
-        online = sum(1 for w in self._workers if w.online)
         kept: List[_PendingProvision] = []
-        while pending and len(stuck_workers) < online:
+        while pending and len(stuck_workers) < len(self._online):
             pend = pending.popleft()
-            if self._faults is not None and not pend.worker.online:
+            if not pend.worker.online:
                 kept.append(pend)
                 continue
             if pend.worker.worker_id in stuck_workers:
@@ -1442,11 +1420,7 @@ class Orchestrator:
                                   req_id, detail, worker_id)
 
     def _dispatch(self, func: str) -> Worker:
-        workers = self._workers
-        if self._faults is not None:
-            online = [w for w in workers if w.online]
-            if online:  # callers guard total outages; stay safe regardless
-                workers = online
+        workers = self._online  # callers handle a total outage first
         if len(workers) == 1 or self.config.dispatch == "single":
             return workers[0]
         if self.config.dispatch == "hash":

@@ -21,7 +21,9 @@ While installed on an orchestrator it
 * every ``check_interval`` recorded events — and once more at run end —
   cross-checks each worker's incremental indexes against a full scan
   (:meth:`Worker.check_integrity`), the engine's live/real event
-  counters against a heap scan, the heap invariant itself, and, in
+  counters against a heap scan, the heap invariant itself, the
+  orchestrator's waiting-function count and online-worker list against
+  scans, and, in
   progress mode, each busy worker's single completion event against
   its executions' ledger keys (a worker whose completion handler has
   put off its neighbours' retime is exempt until the handler places
@@ -289,8 +291,8 @@ class SimSanitizer:
     # -- consistency checks --------------------------------------------
 
     def run_checks(self, orchestrator: Orchestrator) -> None:
-        """Worker-index, engine-counter, heap-invariant, waiting-count
-        and completion-head assertions."""
+        """Worker-index, engine-counter, heap-invariant, waiting-count,
+        online-list and completion-head assertions."""
         self.checks_run += 1
         for worker in orchestrator.workers():
             try:
@@ -320,6 +322,12 @@ class SimSanitizer:
             raise SanitizerError(
                 f"waiting-function count {orchestrator._n_waiting} "
                 f"diverged from scan {waiting}")
+        online = [w for w in orchestrator.workers() if w.online]
+        if orchestrator._online != online:
+            raise SanitizerError(
+                f"online-worker list "
+                f"{[w.worker_id for w in orchestrator._online]} diverged "
+                f"from scan {[w.worker_id for w in online]}")
         self._check_completion_heads(orchestrator)
         self._check_worklist(orchestrator)
 

@@ -234,3 +234,50 @@ def test_retiming_digest_matches_golden(trace, case):
         assert max(ends.values()) >= 2, "no two completions tied exactly"
     digest = _digest(result, log)
     assert digest == RETIMING_DIGESTS[case], f"{case}: digest is now {digest}"
+
+
+# ----------------------------------------------------------------------
+# Dispatch goldens: multi-worker routing under crash and restart.
+#
+# The reference path shares ``_dispatch``, so the differential suites
+# cannot see a change in which live worker a request lands on. Three
+# workers replay without a contention model under ``least-loaded`` and
+# ``hash`` dispatch. The crashes all restart and overlap, so for a few
+# seconds one, two and then all three workers are down: arrivals and
+# orphans go to the survivors, then wait for the first restart.
+
+DISPATCH_DIGESTS = {
+    "hash":
+        "a878bf020c62c15c02962646e63ab362466e8a03963ba1b551ae7cf2e238e504",
+    "least-loaded":
+        "2a302a9f4bb8718158ab6f55f07a3e006d46bf9620f0bddbb97eba9d7a663fe0",
+}
+
+DISPATCH_CRASHES = (
+    CrashSpec(0, 30_000.0, 20_000.0), CrashSpec(1, 40_000.0, 10_000.0),
+    CrashSpec(2, 45_000.0, 3_000.0), CrashSpec(1, 100_000.0, 5_000.0),
+    CrashSpec(0, 140_000.0, 8_000.0))
+
+
+@pytest.mark.parametrize("dispatch", sorted(DISPATCH_DIGESTS))
+def test_dispatch_digest_matches_golden(trace, dispatch):
+    config = SimulationConfig(
+        capacity_gb=9.0, workers=3, dispatch=dispatch,
+        faults=FaultPlan(crashes=DISPATCH_CRASHES))
+    log = EventLog()
+    orch = Orchestrator(trace.functions, policy_factories()["CIDRE"](trace),
+                        config, event_log=log)
+    result = orch.run(trace.packed())
+    summary = result.summary()
+    assert summary["worker_crashes"] == len(DISPATCH_CRASHES)
+    assert summary["reassigned_requests"] > 0
+    arrivals = Counter(e.worker_id for e in log
+                       if e.kind is EventKind.ARRIVAL)
+    assert sorted(arrivals) == [0, 1, 2], arrivals
+    outage = [r for r in result.requests
+              if 45_000.0 <= r.arrival_ms < 48_000.0]
+    assert outage, "no request arrived while every worker was down"
+    assert all(r.start_ms >= 48_000.0 for r in outage)
+    digest = _digest(result, log)
+    assert digest == DISPATCH_DIGESTS[dispatch], \
+        f"{dispatch}: digest is now {digest}"

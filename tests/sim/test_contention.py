@@ -98,6 +98,16 @@ class TestModel:
         with pytest.raises(ValueError):
             ContentionModel(table=(("", (1.0,)),))
 
+    @pytest.mark.parametrize("bad", (float("nan"), float("inf")))
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="cores must be an integer"):
+            ContentionModel(cores=bad)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            ContentionModel(alpha=bad)
+        with pytest.raises(ValueError,
+                           match="table entry 'f0' factor 1 must be finite"):
+            ContentionModel(table=(("f0", (1.0, bad)),))
+
     def test_json_round_trip(self, tmp_path):
         model = ContentionModel(cores=3, alpha=1.5,
                                 table=(("a", (1.0, 2.0)), ("b", (3.0,))))

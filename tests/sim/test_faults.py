@@ -380,6 +380,27 @@ class TestBlockedProvisionRedirect:
         assert fo[0].container_id is not None
         assert not orch.waiting_functions()
 
+    def test_provision_stranded_by_total_outage_moves_on_restart(self):
+        """Worker 0 dies for good while worker 1 is down, so its blocked
+        provision has nowhere to move; it must move when worker 1 comes
+        back instead of waiting on worker 0 forever."""
+        big = FunctionSpec("fb", memory_mb=400.0, cold_start_ms=100.0)
+        other = FunctionSpec("fo", memory_mb=200.0, cold_start_ms=100.0)
+        plan = FaultPlan(crashes=(
+            CrashSpec(worker_id=1, at_ms=50.0, restart_delay_ms=2_000.0),
+            CrashSpec(worker_id=0, at_ms=500.0)))
+        result, log, orch = run_chaos(
+            plan,
+            [Request("fb", 0.0, 10_000.0),
+             Request("fo", 200.0, 50.0)],
+            functions=(big, other), capacity_gb=1.0)
+        fo = [r for r in result.requests if r.func == "fo"]
+        assert fo and fo[0].completed and fo[0].start_ms >= 2_050.0
+        starts = [e for e in kinds(log, EventKind.PROVISION_START)
+                  if e.func == "fo"]
+        assert [e.worker_id for e in starts] == [1]
+        assert not orch._pending
+
 
 class TestPlanSerialization:
     def plan(self):
@@ -431,6 +452,59 @@ class TestPlanSerialization:
         plan = FaultPlan(crashes=(CrashSpec(worker_id=7, at_ms=1.0),))
         with pytest.raises(ValueError, match="worker"):
             SimulationConfig(capacity_gb=2.0, workers=2, faults=plan)
+
+    @pytest.mark.parametrize("bad", (float("nan"), float("inf"),
+                                     -float("inf")))
+    @pytest.mark.parametrize("factory, kwargs, field", [
+        (RetryPolicy, {}, "max_retries"),
+        (RetryPolicy, {}, "retry_delay_ms"),
+        (CrashSpec, dict(worker_id=0, at_ms=1.0), "worker_id"),
+        (CrashSpec, dict(worker_id=0, at_ms=1.0), "at_ms"),
+        (CrashSpec, dict(worker_id=0, at_ms=1.0), "restart_delay_ms"),
+        (StragglerSpec, dict(worker_id=0, start_ms=1.0, end_ms=2.0),
+         "worker_id"),
+        (StragglerSpec, dict(worker_id=0, start_ms=1.0, end_ms=2.0),
+         "start_ms"),
+        (StragglerSpec, dict(worker_id=0, start_ms=1.0, end_ms=2.0),
+         "end_ms"),
+        (StragglerSpec, dict(worker_id=0, start_ms=1.0, end_ms=2.0),
+         "exec_multiplier"),
+        (StragglerSpec, dict(worker_id=0, start_ms=1.0, end_ms=2.0),
+         "cold_multiplier"),
+        (WorkerClassSpec, dict(name="c", workers=(0,)), "memory_mb"),
+        (WorkerClassSpec, dict(name="c", workers=(0,)),
+         "cold_start_multiplier"),
+    ])
+    def test_non_finite_field_rejected(self, factory, kwargs, field, bad):
+        """NaN passes a bare ``< 0`` check, and inf overflows the engine's
+        clock mid-replay; both must fail at construction, naming the
+        field and the value."""
+        with pytest.raises(ValueError, match=f"{field} must be .* got "):
+            factory(**{**kwargs, field: bad})
+
+    def test_non_integer_worker_ids_rejected(self):
+        with pytest.raises(ValueError, match="workers\\[1\\] must be an "
+                                             "integer"):
+            WorkerClassSpec(name="c", workers=(0, 1.5))
+        with pytest.raises(ValueError, match="max_retries must be an "
+                                             "integer"):
+            RetryPolicy(max_retries=1.5)
+
+    def test_from_dict_names_the_bad_entry(self):
+        payload = self.plan().to_dict()
+        payload["stragglers"].append(dict(
+            payload["stragglers"][0], exec_multiplier=float("nan")))
+        with pytest.raises(ValueError,
+                           match="stragglers\\[1\\]: exec_multiplier"):
+            FaultPlan.from_dict(payload)
+        payload = self.plan().to_dict()
+        payload["crashes"][1]["at"] = 5.0
+        with pytest.raises(ValueError, match="crashes\\[1\\]: .*'at'"):
+            FaultPlan.from_dict(payload)
+        payload = self.plan().to_dict()
+        payload["retry"]["retry_delay_ms"] = float("inf")
+        with pytest.raises(ValueError, match="retry: retry_delay_ms"):
+            FaultPlan.from_dict(payload)
 
     def test_with_retry_replaces_policy_only(self):
         plan = self.plan()

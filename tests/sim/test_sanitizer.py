@@ -22,6 +22,7 @@ from repro.sim.config import SimulationConfig
 from repro.sim.container import Container
 from repro.sim.contention import ContentionModel
 from repro.sim.eventlog import EventLog
+from repro.sim.faults import CrashSpec, FaultPlan
 from repro.sim.function import FunctionSpec
 from repro.sim.orchestrator import Orchestrator
 from repro.sim.request import Request
@@ -230,6 +231,32 @@ def test_engine_counter_divergence_reported():
         with pytest.raises(SanitizerError) as excinfo:
             sanitizer.run_checks(orchestrator)
         assert "counters diverged" in str(excinfo.value)
+    finally:
+        sanitizer.uninstall(orchestrator)
+
+
+@pytest.mark.parametrize("corrupt", ["stale", "order"])
+def test_online_list_corruption_reported(corrupt):
+    """The orchestrator dispatches from its own list of online workers;
+    one that misses a crash or loses worker order must be caught."""
+    plan = FaultPlan(crashes=(CrashSpec(0, 5_000.0, 2_000.0),
+                              CrashSpec(2, 9_000.0)))
+    config = SimulationConfig(capacity_gb=6.0, workers=3, faults=plan)
+    orchestrator = Orchestrator(TRACE.functions, _factory("CIDRE")(TRACE),
+                                config, event_log=EventLog())
+    sanitizer = SimSanitizer()
+    sanitizer.install(orchestrator)
+    try:
+        orchestrator.run(TRACE.fresh_requests())
+        sanitizer.run_checks(orchestrator)
+        workers = orchestrator.workers()
+        assert orchestrator._online == workers[:2]
+        if corrupt == "stale":
+            orchestrator._online = list(workers)
+        else:
+            orchestrator._online.reverse()
+        with pytest.raises(SanitizerError, match="online-worker list"):
+            sanitizer.run_checks(orchestrator)
     finally:
         sanitizer.uninstall(orchestrator)
 
