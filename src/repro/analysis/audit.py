@@ -20,8 +20,9 @@ reduces them to the three views the ``repro audit`` CLI verb prints:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 __all__ = ["EvictionBalance", "eviction_balance", "expensive_decisions",
            "gate_flip_rows", "gate_flip_timeline", "gate_flips"]
@@ -108,17 +109,18 @@ def expensive_decisions(records: Iterable[dict],
     gate accepted. Returns ``(cost_ms, record)`` pairs, most expensive
     first (ties broken by time, earliest first).
     """
-    scored: List[Tuple[float, float, int, dict]] = []
-    for i, record in enumerate(records):
-        kind = record.get("kind")
-        if kind == "eviction_decision":
-            cost = sum(v.get("cost_ms", 0.0) for v in record["victims"])
-        elif kind == "css_scale" and record.get("decision") == "queue" \
-                and record.get("t_d") is not None:
-            cost = record["t_d"]
-        else:
-            continue
-        scored.append((-cost, record.get("t", 0.0), i, record))
-    scored.sort(key=lambda item: item[:3])
-    return [(-neg_cost, record)
-            for neg_cost, _, _, record in scored[:k]]
+    def scored() -> Iterator[Tuple[float, float, int, dict]]:
+        for i, record in enumerate(records):
+            kind = record.get("kind")
+            if kind == "eviction_decision":
+                cost = sum(v.get("cost_ms", 0.0) for v in record["victims"])
+            elif kind == "css_scale" and record.get("decision") == "queue" \
+                    and record.get("t_d") is not None:
+                cost = record["t_d"]
+            else:
+                continue
+            yield -cost, record.get("t", 0.0), i, record
+
+    # Only the k best are held: ``records`` may be a streaming view.
+    top = heapq.nsmallest(k, scored(), key=lambda item: item[:3])
+    return [(-neg_cost, record) for neg_cost, _, _, record in top]

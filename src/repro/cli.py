@@ -370,7 +370,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
     audit.close()
 
     result = experiment.result
-    records = list(audit.records)
+    # A read-only view: each pass below builds the records one at a time.
+    records = audit.records
     by_kind = {}
     for record in records:
         by_kind[record["kind"]] = by_kind.get(record["kind"], 0) + 1

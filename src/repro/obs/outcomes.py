@@ -45,7 +45,9 @@ matching live emission order.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.sim.eventlog import (Event, EventKind, cause_class,
@@ -361,20 +363,33 @@ def resolve(records: Iterable[Dict], events: Iterable[Event],
 
     ``records`` is a :class:`~repro.obs.audit.DecisionAudit`'s records
     (or a parsed sidecar), ``events`` an
-    :class:`~repro.sim.eventlog.EventLog`'s events. The merge is stable
-    and orders records before events at equal timestamps, reproducing
-    live emission order (a decision precedes the evictions it causes).
+    :class:`~repro.sim.eventlog.EventLog`'s events, each in time order
+    (as a run emits them). The streams are merged lazily, one element of
+    each held at a time, and records go before events at equal
+    timestamps, reproducing live emission order (a decision precedes
+    the evictions it causes).
     """
     resolver = OutcomeResolver(horizon_ms=horizon_ms,
                                credit_ms_per_mb_ms=credit_ms_per_mb_ms,
                                metrics=metrics)
-    merged = []
-    for index, record in enumerate(records):
-        merged.append((record["t"], 0, index, record))
-    for index, event in enumerate(events):
-        merged.append((event.time_ms, 1, index, event))
-    merged.sort(key=lambda entry: entry[:3])
-    for entry in merged:
-        resolver.emit(entry[3])
+    emit = resolver.emit
+    for _, item in heapq.merge(
+            _in_time_order("records", ((r["t"], r) for r in records)),
+            _in_time_order("events", ((e.time_ms, e) for e in events)),
+            key=itemgetter(0)):
+        emit(item)
     resolver.finish()
     return resolver
+
+
+def _in_time_order(name: str, timed: Iterable[Tuple[float, object]]):
+    """Pass ``(t, item)`` pairs through, refusing a stream that goes back
+    in time: the lazy merge would order it wrongly without a word."""
+    last = float("-inf")
+    for position, (t, item) in enumerate(timed):
+        if t < last:
+            raise ValueError(
+                f"resolve: {name}[{position}] at t={t!r} precedes the one "
+                f"before it at t={last!r}; streams must be in time order")
+        last = t
+        yield t, item

@@ -136,6 +136,15 @@ class PolicyContext(Protocol):
         The record then starts over, so one consumer owns it."""
 
 
+#: Keys of one ``survivors`` entry of an ``eviction_decision`` record.
+SURVIVOR_KEYS = ("cid", "func", "priority")
+
+
+def _survivor_rank(row: tuple) -> tuple:
+    """A survivor row's place in the record: ``(priority, cid)``."""
+    return row[2], row[0]
+
+
 def _push_run(push, run: list, key: str) -> None:
     """Offer a function group's next run of equal computed priority.
 
@@ -279,7 +288,9 @@ class OrchestrationPolicy:
         The base policy's priority is a single recency term, so there is
         nothing to decompose; CIP overrides this with the full Eq. 3
         breakdown (``clock``, ``freq_per_min``, ``cost_ms``, ``size_mb``,
-        ``warm_count``).
+        ``warm_count``). Every call returns the same keys in the same
+        order: the audit stores one decision's victims as rows under one
+        key tuple.
         """
         return {"priority": self.priority(container, now)}
 
@@ -313,10 +324,10 @@ class OrchestrationPolicy:
         # fit — skip the priority ranking entirely.
         if worker.free_mb + worker.evictable_mb() < need_mb:
             return False
-        candidates = ranked = None
+        candidates = ranked = offsets = None
         key = self.group_key
         if key is not None and worker.order_key == key:
-            chosen = self._select_grouped(worker, key, need_mb, now)
+            chosen, offsets = self._select_grouped(worker, key, need_mb, now)
         else:
             candidates = list(worker.evictable_items())
             ranked = self.priorities(candidates, now)
@@ -332,14 +343,34 @@ class OrchestrationPolicy:
         did = None
         if self.audit is not None or self.metrics is not None:
             did = self._note_replace(worker, chosen, need_mb, now, for_func,
-                                     candidates, ranked)
+                                     candidates, ranked, offsets)
         for victim in chosen:
             self.ctx.evict(victim, decision_id=did)
         return True
 
+    def may_make_room(self, worker: "Worker", need_mb: float) -> bool:
+        """Whether :meth:`make_room` could free ``need_mb`` on ``worker``
+        now. False only when the call would surely fail, and then fail
+        without side effects, so a blocked-provision retry can be
+        skipped.
+
+        Exact for the base REPLACE on the indexed path: it succeeds
+        exactly when the free plus the evictable memory covers the need.
+        For a policy that overrides :meth:`make_room`, and for the
+        reference and counterfactual (``protected_cids``) paths, the
+        answer is "maybe": True.
+        """
+        if worker.free_mb >= need_mb:
+            return True
+        if (type(self).make_room is not OrchestrationPolicy.make_room
+                or self.protected_cids or worker.naive):
+            return True
+        return worker.free_mb + worker.evictable_mb() >= need_mb
+
     def _select_grouped(self, worker: "Worker", key: str, need_mb: float,
-                        now: float) -> List["Container"]:
-        """REPLACE's victims, scoring function-group heads only.
+                        now: float) -> tuple:
+        """REPLACE's victims, scoring function-group heads only, and each
+        function's group offset (``{func: offset}``).
 
         Each group's evictable containers are in ``(key, container_id)``
         order, and every member shares the group's offset, so priority is
@@ -350,8 +381,10 @@ class OrchestrationPolicy:
         computed priority, and its next run only once that run is popped.
         """
         heap: list = []
+        offsets = {}
         for order in worker.ordered_groups():
-            offset = self.group_offset(order[0][2].spec, worker, now)
+            spec = order[0][2].spec
+            offset = offsets[spec.name] = self.group_offset(spec, worker, now)
             _push_run(heap.append, [order, offset, 0, 0], key)
         heapq.heapify(heap)
         push = functools.partial(heapq.heappush, heap)
@@ -364,7 +397,7 @@ class OrchestrationPolicy:
             run[3] -= 1
             if not run[3] and run[2] < len(run[0]):
                 _push_run(push, run, key)
-        return chosen
+        return chosen, offsets
 
     def _make_room_reference(self, worker: "Worker", need_mb: float,
                              now: float,
@@ -432,17 +465,19 @@ class OrchestrationPolicy:
     def _note_replace(self, worker: "Worker", chosen: List["Container"],
                       need_mb: float, now: float, for_func: Optional[str],
                       candidates: Optional[List["Container"]] = None,
-                      priorities: Optional[List[float]] = None
-                      ) -> Optional[int]:
+                      priorities: Optional[List[float]] = None,
+                      offsets: Optional[dict] = None) -> Optional[int]:
         """Feed metrics/audit for one REPLACE decision (read-only).
         Returns the audit ``decision_id`` (``None`` with no audit).
 
         Runs *before* the victims are evicted so the Eq. 3 components are
         the values the ranking actually used (eviction updates the running
         clock). ``candidates``/``priorities`` is the ranked pool; when the
-        selection scored group heads only, the audit ranks the worker's
-        whole evictable set here. Only the base ``make_room`` flows
-        through here; policies that override the whole procedure
+        selection scored group heads only, it passes each function's
+        group ``offsets`` instead, and the audit ranks the worker's whole
+        evictable set as ``getattr(c, group_key) + offset``, the value
+        :meth:`priorities` would compute. Only the base ``make_room``
+        flows through here; policies that override the whole procedure
         (CodeCrunch's compression, RainbowCake's layer decay) do their
         reclaiming off-audit.
         """
@@ -453,35 +488,41 @@ class OrchestrationPolicy:
             self.metrics.counter_child(
                 "repro_replace_victims_total",
                 "Containers evicted by REPLACE decisions").inc(len(chosen))
-        if self.audit is None:
+        audit = self.audit
+        if audit is None:
             return None
         if candidates is None:
             candidates = list(worker.evictable_items())
-            priorities = self.priorities(candidates, now)
+            key = self.group_key
+            priorities = [getattr(c, key) + offsets[c.spec.name]
+                          for c in candidates]
         victims = []
+        freed_mb = 0
+        components: dict = {}
         for victim in chosen:
-            entry = {"cid": victim.container_id, "func": victim.spec.name,
-                     "mem_mb": victim.memory_mb}
-            entry.update(self.priority_components(victim, now))
-            victims.append(entry)
+            components = self.priority_components(victim, now)
+            victims.append((victim.container_id, victim.spec.name,
+                            victim.memory_mb, *components.values()))
+            freed_mb += victim.memory_mb
+        victim_keys = ("cid", "func", "mem_mb", *components)
         chosen_ids = {c.container_id for c in chosen}
         survivors = sorted(
-            ({"cid": c.container_id, "func": c.spec.name, "priority": p}
+            ((c.container_id, c.spec.name, p)
              for p, c in zip(priorities, candidates)
              if c.container_id not in chosen_ids),
-            key=lambda s: (s["priority"], s["cid"]))
+            key=_survivor_rank)
         record = {
             "kind": "eviction_decision",
             "t": now,
             "wid": worker.worker_id,
             "need_mb": need_mb,
-            "freed_mb": sum(v["mem_mb"] for v in victims),
-            "victims": victims,
-            "survivors": survivors,
+            "freed_mb": freed_mb,
+            "victims": audit.table(victim_keys, victims),
+            "survivors": audit.table(SURVIVOR_KEYS, survivors),
         }
         if for_func is not None:
             record["for_func"] = for_func
-        return self.audit.emit(record)
+        return audit.emit(record)
 
     # ------------------------------------------------------------------
     # Cost model

@@ -7,22 +7,32 @@ policy, tracing one function's containers through a run, or explaining a
 single request's latency (``explain_request``).
 
 Logging is opt-in (``Orchestrator(..., event_log=EventLog())``) and adds
-one append per event when enabled, nothing when not. For runs too large
+one row per event when enabled, nothing when not. For runs too large
 to hold in memory, the log can be bounded (``capacity``) and/or fanned
 out to streaming :mod:`repro.sim.telemetry` sinks (``sinks``): every
 event still reaches each attached sink, while the in-memory buffer keeps
 only the newest ``capacity`` events.
 
-An :class:`Event` is a named tuple, so recording one costs a tuple
-allocation and a deque append; with no sinks attached,
-:meth:`EventLog.record` does nothing else.
+The log stores columns, not objects: times in an ``array('d')``, each
+kind as a one-byte code, ``func`` and ``detail`` as references to the
+strings the caller passed, and the three ids in ``array('q')`` columns
+with a sentinel for ``None``. An event costs about 58 bytes (its
+unshared detail strings included) instead of 130 for a GC-tracked tuple
+and its boxed fields, measured on the ``observed`` benchmark input. Readers see :class:`Event` named
+tuples, built on access: :attr:`EventLog.events` is a read-only sequence
+view in recording order, and the queries filter on the columns before
+they build anything. A :class:`Event` is also what every sink receives;
+with no sinks attached :meth:`EventLog.record` builds none.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
-from typing import Iterable, List, NamedTuple, Optional, Sequence
+import sys
+from array import array
+from collections.abc import Sequence as SequenceABC
+from itertools import chain, islice
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence
 
 
 class EventKind(enum.Enum):
@@ -40,6 +50,14 @@ class EventKind(enum.Enum):
     WORKER_RESTART = "worker_restart"
     REQUEST_ORPHANED = "request_orphaned"
     REQUEST_REASSIGNED = "request_reassigned"
+
+
+#: ``EventKind`` members by column code; each member's ``code`` is its
+#: index here (definition order), so recording one reads an attribute.
+KINDS = tuple(EventKind)
+for _code, _kind in enumerate(KINDS):
+    _kind.code = _code
+del _code, _kind
 
 
 #: Causal ordering of lifecycle events that share a timestamp: a request
@@ -133,15 +151,69 @@ class Event(NamedTuple):
         return "  ".join(parts)
 
 
+#: The id columns' ``None``: the int64 minimum, which no id takes.
+NO_ID = -(1 << 63)
+
+
+class RingView(SequenceABC):
+    """Read-only sequence view of a ring store, oldest row first.
+
+    A ring store appends rows until it holds ``capacity`` of them and
+    then overwrites the oldest in place: row ``n`` (counting every row
+    ever stored) sits in slot ``n % capacity``, and an unbounded store
+    is the ring that never wraps. The store supplies ``len()``,
+    iteration, its ``dropped`` count and ``_row(slot, number)``, which
+    builds the row stored under ``number`` in ``slot``. Indexing
+    (negative indexes too) builds one row; a slice returns a list.
+    """
+
+    __slots__ = ("_store",)
+
+    def __init__(self, store):
+        self._store = store
+
+    def __len__(self) -> int:
+        return len(self._store)
+
+    def __iter__(self) -> Iterator:
+        return iter(self._store)
+
+    def __getitem__(self, index):
+        store = self._store
+        size = len(store)
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(size))]
+        if index < 0:
+            index += size
+        if not 0 <= index < size:
+            raise IndexError("ring view index out of range")
+        number = store.dropped + index
+        return store._row(number % size, number)
+
+
+def ring_slots(size: int, dropped: int) -> Iterator[tuple]:
+    """``(number, slot)`` of every row a ring store holds, oldest first.
+
+    ``size`` rows are held and ``dropped`` were overwritten, so the
+    oldest held row is number ``dropped``, in slot ``dropped % size``.
+    """
+    if not size:
+        return iter(())
+    first = dropped % size
+    return zip(range(dropped, dropped + size),
+               chain(range(first, size), range(first)))
+
+
 class EventLog:
-    """Accumulates :class:`Event` records during a run.
+    """Accumulates control-plane events during a run, as columns.
 
     :meth:`record` is the probe entry point the orchestrator calls once
-    per event: it builds one tuple-backed :class:`Event`, appends it to
-    the (optionally bounded) buffer and, only when sinks are attached,
-    hands it to each sink. The orchestrator looks ``record`` up on the
-    log at every call and never keeps the bound method, so a wrapper
-    installed on the instance (the benchmark's tracer) sees every event.
+    per event: it appends one row to the columns (or, once a bounded
+    log is full, overwrites its oldest row) and, only when sinks are
+    attached, builds one :class:`Event` and hands it to each sink. The
+    orchestrator looks ``record`` up on the log at every call and never
+    keeps the bound method, so a wrapper installed on the instance (the
+    benchmark's tracer) sees every event.
     """
 
     def __init__(self, capacity: Optional[int] = None,
@@ -154,12 +226,16 @@ class EventLog:
             raise ValueError("capacity must be >= 0 (or None); 0 keeps "
                              "nothing in memory (sink-only logging)")
         self.capacity = capacity
-        self.events = deque(maxlen=capacity)
-        #: Events evicted from the bounded in-memory buffer. Counts every
-        #: individual dropped event (sinks still saw them all).
-        self.dropped = 0
-        #: Total events ever recorded (== len(events) + dropped).
+        self._bound = sys.maxsize if capacity is None else capacity
+        #: Total events ever recorded (== len(self) + dropped).
         self.recorded = 0
+        self._times = array("d")
+        self._kinds = array("B")
+        self._funcs: List[str] = []
+        self._details: List[str] = []
+        self._cids = array("q")
+        self._rids = array("q")
+        self._wids = array("q")
         self._sinks = tuple(sinks)
 
     def attach(self, sink) -> None:
@@ -170,18 +246,46 @@ class EventLog:
     def sinks(self) -> tuple:
         return self._sinks
 
+    @property
+    def dropped(self) -> int:
+        """Events rotated out of the bounded in-memory buffer (sinks
+        still saw them all)."""
+        return self.recorded - len(self._times)
+
+    @property
+    def events(self) -> RingView:
+        """The held events, oldest first, as a read-only sequence."""
+        return RingView(self)
+
     def record(self, time_ms: float, kind: EventKind, func: str,
                container_id: Optional[int] = None,
                req_id: Optional[int] = None, detail: str = "",
                worker_id: Optional[int] = None) -> None:
-        events = self.events
-        if self.capacity is not None and len(events) == self.capacity:
-            self.dropped += 1          # deque(maxlen) evicts the oldest
-        event = Event(time_ms, kind, func, container_id, req_id, detail,
-                      worker_id)
-        events.append(event)
-        self.recorded += 1
+        number = self.recorded
+        self.recorded = number + 1
+        cid = NO_ID if container_id is None else container_id
+        rid = NO_ID if req_id is None else req_id
+        wid = NO_ID if worker_id is None else worker_id
+        if number < self._bound:
+            self._times.append(time_ms)
+            self._kinds.append(kind.code)
+            self._funcs.append(func)
+            self._details.append(detail)
+            self._cids.append(cid)
+            self._rids.append(rid)
+            self._wids.append(wid)
+        elif self._bound:
+            slot = number % self._bound
+            self._times[slot] = time_ms
+            self._kinds[slot] = kind.code
+            self._funcs[slot] = func
+            self._details[slot] = detail
+            self._cids[slot] = cid
+            self._rids[slot] = rid
+            self._wids[slot] = wid
         if self._sinks:
+            event = Event(time_ms, kind, func, container_id, req_id, detail,
+                          worker_id)
             for sink in self._sinks:
                 sink.emit(event)
 
@@ -193,35 +297,64 @@ class EventLog:
                 close()
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._times)
 
-    def __iter__(self):
-        return iter(self.events)
+    def __iter__(self) -> Iterator[Event]:
+        size = len(self._times)
+        first = self.dropped % size if size else 0
+        columns = [chain(islice(column, first, None), islice(column, first))
+                   for column in (self._times, self._kinds, self._funcs,
+                                  self._cids, self._rids, self._details,
+                                  self._wids)]
+        new = tuple.__new__
+        for t, k, f, c, r, d, w in zip(*columns):
+            yield new(Event, (t, KINDS[k], f, None if c == NO_ID else c,
+                              None if r == NO_ID else r, d,
+                              None if w == NO_ID else w))
+
+    def _row(self, slot: int, number: int = 0) -> Event:
+        """The event held in ``slot``."""
+        cid, rid, wid = self._cids[slot], self._rids[slot], self._wids[slot]
+        return tuple.__new__(Event, (
+            self._times[slot], KINDS[self._kinds[slot]], self._funcs[slot],
+            None if cid == NO_ID else cid, None if rid == NO_ID else rid,
+            self._details[slot], None if wid == NO_ID else wid))
+
+    def _slots(self) -> Iterator[int]:
+        """Slots of the held events, oldest first."""
+        return (slot for _, slot in ring_slots(len(self._times),
+                                               self.dropped))
+
+    def _where(self, column, value) -> List[Event]:
+        """The held events whose ``column`` entry equals ``value``."""
+        return [self._row(slot) for slot in self._slots()
+                if column[slot] == value]
 
     # ------------------------------------------------------------------
-    # Queries
+    # Queries (each filters a column before building any event)
 
     def of_kind(self, kind: EventKind) -> List[Event]:
-        return [e for e in self.events if e.kind is kind]
+        return self._where(self._kinds, kind.code)
 
     def of_func(self, func: str) -> List[Event]:
-        return [e for e in self.events if e.func == func]
+        return self._where(self._funcs, func)
 
-    def of_container(self, container_id: int) -> List[Event]:
-        return [e for e in self.events
-                if e.container_id == container_id]
+    def of_container(self, container_id: Optional[int]) -> List[Event]:
+        return self._where(self._cids, NO_ID if container_id is None
+                           else container_id)
 
     def explain_request(self, req_id: int) -> List[Event]:
         """All events involving one request plus its serving container's
         provisioning history — the latency story of that request."""
-        mine = [e for e in self.events if e.req_id == req_id]
+        mine = self._where(self._rids, req_id)
         containers = {e.container_id for e in mine
                       if e.container_id is not None}
-        related = [e for e in self.events
-                   if e.req_id is None and e.container_id in containers
-                   and e.kind in (EventKind.PROVISION_START,
-                                  EventKind.CONTAINER_READY,
-                                  EventKind.EVICTION)]
+        codes = {EventKind.PROVISION_START.code,
+                 EventKind.CONTAINER_READY.code, EventKind.EVICTION.code}
+        cids, rids, kinds = self._cids, self._rids, self._kinds
+        related = [self._row(slot) for slot in self._slots()
+                   if rids[slot] == NO_ID and cids[slot] in containers
+                   and kinds[slot] in codes]
         merged = sorted(mine + related,
                         key=lambda e: (e.time_ms, LIFECYCLE_RANK[e.kind]))
         return merged
@@ -235,24 +368,26 @@ class EventLog:
         starts and unknown requests. Restores (CodeCrunch) are not
         provision events and return ``None``.
         """
-        serving_cid = None
-        for e in self.events:
-            if (e.kind is EventKind.EXEC_START and e.req_id == req_id
-                    and e.detail == "cold"):
-                serving_cid = e.container_id
+        start = EventKind.EXEC_START.code
+        provision_code = EventKind.PROVISION_START.code
+        kinds, rids, cids = self._kinds, self._rids, self._cids
+        serving_cid = NO_ID
+        for slot in self._slots():
+            if (kinds[slot] == start and rids[slot] == req_id
+                    and self._details[slot] == "cold"):
+                serving_cid = cids[slot]
                 break
-        if serving_cid is None:
+        if serving_cid == NO_ID:
             return None
         provision = None
-        for e in self.events:
-            if (e.kind is EventKind.PROVISION_START
-                    and e.container_id == serving_cid):
-                provision = e  # last one before exec wins (restores aside)
-            elif (e.kind is EventKind.EXEC_START and e.req_id == req_id):
+        for slot in self._slots():
+            if kinds[slot] == provision_code and cids[slot] == serving_cid:
+                provision = slot  # last one before exec wins (restores aside)
+            elif kinds[slot] == start and rids[slot] == req_id:
                 break
-        return provision
+        return None if provision is None else self._row(provision)
 
     def render(self, events: Optional[Iterable[Event]] = None) -> str:
         """Human-readable dump (of a query result or everything)."""
-        chosen = list(events) if events is not None else list(self.events)
+        chosen = self if events is None else events
         return "\n".join(str(e) for e in chosen)

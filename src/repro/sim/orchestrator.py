@@ -273,11 +273,6 @@ class Orchestrator:
         #: Functions whose unserved-waiter or in-flight count changed
         #: since the policy last took them (:meth:`take_changed_functions`).
         self._changed: Set[str] = set()
-        #: Bumped with every such change; part of the retry signature.
-        self._epoch = 0
-        #: Signature of the state the last retry pass that did nothing
-        #: ran in (see :meth:`_retry_signature`), or None.
-        self._retry_clean: Optional[tuple] = None
         #: Packed-trace replay state (set by :meth:`run`).
         self._packed = None
         self._materialized: List[Request] = []
@@ -670,7 +665,6 @@ class Orchestrator:
         # Provisions died with the worker and blocked ones may move:
         # every function's in-flight count is suspect.
         self._changed.update(self.specs)
-        self._epoch += 1
         self.metrics.crash_destroyed += len(victims)
         if self.attribution is not None:
             self.attribution.note_crash(c.spec.name for c in victims)
@@ -1038,7 +1032,9 @@ class Orchestrator:
             if self._m_slowdown is not None:
                 self._m_slowdown.observe(realized)
             if state is not None and state.slowed:
-                detail = f"slowdown={realized!r}"
+                # float(): the clock may run on numpy scalars, whose
+                # repr would leak into the detail as np.float64(...).
+                detail = f"slowdown={float(realized)!r}"
         self._log(EventKind.EXEC_END, request.func,
                   container_id=container.container_id,
                   req_id=request.req_id, detail=detail,
@@ -1084,6 +1080,33 @@ class Orchestrator:
             factor = contention.curve(busy)
         return factor * self._faults.exec_multiplier(worker_id, now)
 
+    def _finish_ms(self, request: Request, worker_id: int, busy: int,
+                   now: float, work_ms: float, slowdown: float) -> float:
+        """When ``work_ms`` of ``request``'s execution, running from
+        ``now`` at ``slowdown``, would end if the rate held.
+
+        That is ``now + work_ms * slowdown``, unless a huge straggler
+        multiplier overflows the product to inf. The work is then
+        integrated across the straggler-window edges ahead, as
+        :meth:`FaultPlan.cold_finish_ms` does for provisions; the first
+        edge retimes the execution anyway, so this only keeps its key
+        finite and in order. Inputs that do not overflow take the single
+        multiplication, bit for bit.
+        """
+        time = now + work_ms * slowdown
+        while time == inf:
+            edge = self._faults.next_exec_boundary(worker_id, now)
+            if edge is None:
+                raise ValueError(
+                    f"request {request.req_id} ({request.func}) on worker "
+                    f"{worker_id}: {work_ms!r} ms of execution at slowdown "
+                    f"{slowdown!r} would end at an infinite time")
+            work_ms -= (edge - now) / slowdown
+            now = edge
+            slowdown = self._slowdown(worker_id, request.func, busy, now)
+            time = now + work_ms * slowdown
+        return time
+
     def _begin_progress_exec(self, container: Container,
                              request: Request) -> None:
         sim = self.sim
@@ -1095,7 +1118,8 @@ class Orchestrator:
         # this execution joins the worker.
         head = self._retime_worker(worker_id, table, busy, now)
         slowdown = self._slowdown(worker_id, request.func, busy, now)
-        time = now + request.exec_ms * slowdown
+        time = self._finish_ms(request, worker_id, busy, now, request.exec_ms,
+                               slowdown)
         if head is None:
             # The worker's first execution: its key is the one ``at``
             # draws for the worker's completion event.
@@ -1172,7 +1196,8 @@ class Orchestrator:
             state.slowdown = slowdown
             if first != 1.0 or slowdown != 1.0:
                 state.slowed = True
-            time = now + remaining * slowdown
+            time = self._finish_ms(state.request, worker_id, busy, now,
+                                   remaining, slowdown)
             if not now <= time < inf:
                 raise ValueError(sim._bad_time("draw a key", time))
             state.queued = False
@@ -1330,39 +1355,50 @@ class Orchestrator:
         """Record that ``func``'s unserved-waiter or in-flight count
         moved (or may have)."""
         self._changed.add(func)
-        self._epoch += 1
-
-    def _retry_signature(self) -> tuple:
-        """Everything a retry pass reads: the change epoch (the pending
-        list and the waiter state that decides abandonment) and each
-        worker's committed memory, evictable set and liveness. ``make_room``
-        succeeds or fails on these alone, and a failed call that leaves
-        them unchanged has no other effect."""
-        return (self._epoch, *[
-            (w.used_mb, w.evictable_version, w.online)
-            for w in self._workers])
 
     # ==================================================================
     # Blocked provisions
 
     def _schedule_retry(self) -> None:
         """Arrange a retry pass at the current time, unless it provably
-        does nothing: it would run next, in the very state in which the
-        last pass did nothing."""
+        does nothing: nothing else is due at this instant, so the pass
+        would run next, in the present state, and a dry run of its loop
+        in that state finds nothing to drop or start."""
         if self._retry_scheduled:
             return
         sim = self.sim
-        if (self._retry_clean is not None and sim.next_time() > sim.now
-                and self._retry_signature() == self._retry_clean):
+        if sim.next_time() > sim.now and not self._retry_would_act():
             return
         self._retry_scheduled = True
         sim.schedule(0.0, self._retry_pending)
 
+    def _retry_would_act(self) -> bool:
+        """Dry run of :meth:`_retry_pending`'s loop, free of side effects:
+        whether some blocked provision would be dropped or could start.
+
+        It walks the FIFO as the pass does, skipping offline and stuck
+        workers. A pass that acts on nothing changes nothing, so every
+        step sees the state the first one saw. Starting is judged by
+        :meth:`OrchestrationPolicy.may_make_room`, which may answer
+        "maybe" (True) but never says no to a call that would succeed.
+        """
+        may_make_room = self.policy.may_make_room
+        online = len(self._online)
+        stuck: set = set()
+        for pend in self._pending:
+            if len(stuck) >= online:
+                break
+            worker = pend.worker
+            if not worker.online or worker.worker_id in stuck:
+                continue
+            if (self._should_abandon(pend)
+                    or may_make_room(worker, pend.spec.memory_mb)):
+                return True
+            stuck.add(worker.worker_id)
+        return False
+
     def _retry_pending(self) -> None:
         self._retry_scheduled = False
-        signature = self._retry_signature()
-        if signature == self._retry_clean:
-            return
         pending = self._pending
         # Once a worker fails to free memory, stop hammering it this round:
         # later (FIFO) provisions are no more likely to fit, and probing
@@ -1393,11 +1429,6 @@ class Orchestrator:
                 stuck_workers.add(pend.worker.worker_id)
                 kept.append(pend)
         pending.extendleft(reversed(kept))
-        # Every drop or start bumps the epoch, so an unchanged signature
-        # means the pass did nothing and will do nothing again until what
-        # it reads changes.
-        self._retry_clean = (signature if self._retry_signature() == signature
-                             else None)
 
     def _should_abandon(self, pend: _PendingProvision) -> bool:
         """Skip blocked provisions that no longer have anyone to serve."""

@@ -535,11 +535,6 @@ class Worker:
         function; empty unless the worker has an ``order_key``."""
         return self._groups.values()
 
-    @property
-    def evictable_version(self) -> int:
-        """A counter that moves whenever the evictable set changes."""
-        return self._evictable_gen
-
     def evictable_mb(self) -> float:
         """Total reclaimable memory.
 

@@ -7,13 +7,15 @@ records, the Eq. 3 decomposition on ``eviction_decision`` victims, and
 self-consistent totals against the metrics registry.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.experiments.runner import run_one
 from repro.experiments.suites import policy_factories
-from repro.obs import (AuditJsonlSink, DecisionAudit, MetricsRegistry,
-                       RECORD_KINDS, read_audit_jsonl)
+from repro.obs import (AuditJsonlSink, AuditSink, DecisionAudit,
+                       MetricsRegistry, RECORD_KINDS, read_audit_jsonl)
 from repro.sim.config import SimulationConfig
 from repro.traces.synth import ArrivalModel, synth_trace
 
@@ -78,6 +80,89 @@ class TestDecisionAudit:
         sink = audit.attach(AuditJsonlSink(tmp_path / "a.jsonl"))
         assert audit.sinks == (sink,)
 
+
+
+class TestRowStore:
+    """The audit keeps one row per record; :attr:`DecisionAudit.records`
+    rebuilds the stamped dicts, keys and JSON bytes included."""
+
+    @staticmethod
+    def _emitted(i):
+        record = {"kind": "gate_flip" if i % 3 else "css_scale",
+                  "t": float(i), "func": f"f{i % 2}"}
+        if i % 2:
+            record["t_e"] = i / 7
+        return record
+
+    def _audit(self, capacity=None, sinks=()):
+        audit = DecisionAudit(sinks=sinks, capacity=capacity)
+        for i in range(10):
+            assert audit.emit(self._emitted(i)) == i
+        return audit
+
+    def test_view_rebuilds_stamped_records(self):
+        audit = self._audit()
+        expected = [dict(self._emitted(i), did=i) for i in range(10)]
+        view = audit.records
+        assert len(view) == len(audit) == 10
+        assert list(view) == list(audit) == expected
+        assert [list(r) for r in view] == [list(r) for r in expected]
+        assert view[-1] == expected[-1] and view[3] == expected[3]
+        assert view[1:3] == expected[1:3]
+        assert (json.dumps(list(view), separators=(",", ":"))
+                == json.dumps(expected, separators=(",", ":")))
+        with pytest.raises(IndexError):
+            view[10]
+        with pytest.raises(TypeError):
+            view[0] = expected[0]
+
+    def test_caller_dict_is_not_kept(self):
+        audit = DecisionAudit()
+        record = {"kind": "gate_flip", "t": 0.0}
+        audit.emit(record)
+        record["t"] = 9.0
+        assert record == {"kind": "gate_flip", "t": 9.0}
+        assert audit.records[0] == {"kind": "gate_flip", "t": 0.0, "did": 0}
+
+    def test_nested_rows_read_back_as_lists_of_dicts(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        audit = DecisionAudit(sinks=[AuditJsonlSink(path)])
+        keys = ("cid", "func", "priority")
+        audit.emit({"kind": "eviction_decision", "t": 1.0,
+                    "victims": audit.table(keys, [(3, "a", 0.5)]),
+                    "survivors": audit.table(keys, [(4, "b", 0.75),
+                                                    (5, "a", 1.0)])})
+        audit.close()
+        expected = {"kind": "eviction_decision", "t": 1.0,
+                    "victims": [{"cid": 3, "func": "a", "priority": 0.5}],
+                    "survivors": [{"cid": 4, "func": "b", "priority": 0.75},
+                                  {"cid": 5, "func": "a", "priority": 1.0}],
+                    "did": 0}
+        assert audit.records[0] == expected
+        assert read_audit_jsonl(path) == [expected]
+
+    def test_record_by_id_and_of_kind_on_a_rotated_ring(self):
+        audit = self._audit(capacity=4)
+        assert (len(audit), audit.dropped, audit.recorded) == (4, 6, 10)
+        assert [r["did"] for r in audit.records] == [6, 7, 8, 9]
+        assert audit.record_by_id(5) is None
+        assert audit.record_by_id(10) is None
+        for did in (6, 9):
+            assert audit.record_by_id(did) == dict(self._emitted(did),
+                                                   did=did)
+        assert [r["did"] for r in audit.of_kind("css_scale")] == [6, 9]
+
+    def test_capacity_zero_streams_to_sinks_only(self):
+        seen = []
+
+        class Sink(AuditSink):
+            def emit(self, record):
+                seen.append(record)
+
+        audit = self._audit(capacity=0, sinks=[Sink()])
+        assert seen == [dict(self._emitted(i), did=i) for i in range(10)]
+        assert len(audit) == 0 and list(audit.records) == []
+        assert audit.record_by_id(9) is None
 
 class TestCssScaleRecords:
     def test_audit_nonempty_and_kinds_known(self, pressure_run):

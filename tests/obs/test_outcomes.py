@@ -257,3 +257,15 @@ class TestStreamingEquivalence:
     def test_horizon_must_be_positive(self):
         with pytest.raises(ValueError):
             OutcomeResolver(horizon_ms=0.0)
+
+
+class TestStreamingMerge:
+    def test_out_of_order_stream_is_refused(self):
+        events = victim_lifecycle(1, "a", 400.0, 500.0, 1_000.0)
+        events[1], events[3] = events[3], events[1]
+        with pytest.raises(ValueError, match=r"events\[2\] at t=400.0"):
+            resolve([], events)
+        records = [eviction_record(0, 2_000.0, []),
+                   eviction_record(1, 1_000.0, [])]
+        with pytest.raises(ValueError, match=r"records\[1\]"):
+            resolve(records, [])

@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro.core.cidre import CIDREPolicy
+from repro.obs import DecisionAudit
 from repro.policies.faascache import FaasCacheCPolicy, FaasCachePolicy
 from repro.policies.lru import LRUPolicy
 from repro.policies.ttl import TTLPolicy
@@ -135,3 +136,48 @@ class TestGroupedReplace:
                 assert [c.container_id for c in evicted] == [
                     c.container_id for c in expected[:count]]
                 worker.check_integrity()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_may_make_room_is_exact(self, policy_cls, seed):
+        """The retry dry run's predicate: True exactly when REPLACE
+        succeeds, and a refused call evicts nothing."""
+        rng = random.Random(seed)
+        policy, orch, evicted = build(policy_cls, workers=1)
+        worker = orch.workers()[0]
+        for _ in range(rng.randint(4, 24)):
+            spec = rng.choice(SPECS)
+            if rng.random() < 0.3:
+                busy(worker, spec)
+            else:
+                idle(worker, spec, rng.choice(KEYS), policy)
+        reclaimable = worker.free_mb + sum(c.memory_mb
+                                           for c in worker.evictable())
+        for need in (worker.free_mb, reclaimable, reclaimable + 1.0,
+                     worker.capacity_mb + 1.0):
+            del evicted[:]
+            may = policy.may_make_room(worker, need)
+            assert may == (need <= reclaimable)
+            if not may:
+                assert not policy.make_room(worker, need, NOW)
+                assert evicted == []
+
+    def test_audit_ranks_survivors_by_priorities(self, policy_cls):
+        """An audited grouped REPLACE ranks the survivors with the
+        selection's group offsets: the values priorities() computes."""
+        policy, orch, _ = build(policy_cls, workers=1)
+        worker = orch.workers()[0]
+        rng = random.Random(5)
+        for _ in range(20):
+            idle(worker, rng.choice(SPECS), rng.choice(KEYS), policy)
+        policy.audit = audit = DecisionAudit()
+        pool = list(worker.evictable_items())
+        ranked = sorted(zip(policy.priorities(pool, NOW), pool),
+                        key=lambda pair: (pair[0], pair[1].container_id))
+        assert policy.make_room(worker, need_for(worker, [ranked[0][1]]),
+                                NOW)
+        (record,) = audit.records
+        assert [c["cid"] for c in record["victims"]] == [
+            ranked[0][1].container_id]
+        assert record["survivors"] == [
+            {"cid": c.container_id, "func": c.spec.name, "priority": p}
+            for p, c in ranked[1:]]

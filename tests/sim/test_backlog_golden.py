@@ -45,11 +45,11 @@ from repro.traces.schema import Trace
 
 DIGESTS = {
     "backlog":
-        "cdc315b983c080c6ea64ee3d6b46de8b42acdca0748e4e87be917f8aed55bc9c",
+        "5e240ebaf5fd00944056f5bde3e4442354289ab309f84330ae7aa6aafa898617",
     "crash":
-        "09835f245eca8e70e608dabb3244bfa29ef6215e1d85c7d734b38847652a58e7",
+        "f729cdcb46a6636083456523556b704ba19f686509b4ffafd9d8bb979028a40e",
     "multi":
-        "eed9706e929d5363f6d09b57b85413be92cf61fefc1a2085c2f1c5c81d49c94b",
+        "bdc49b1efc27527d8a5d7c54f2b442819206a3f4130e747436ce96a923f37324",
 }
 
 CRASHES = (CrashSpec(0, 40_000.0, 5_000.0), CrashSpec(1, 75_000.0, 3_000.0),
@@ -122,8 +122,10 @@ def _digest(result, log) -> str:
             if base is None:
                 base = cid
             cid -= base
-        h.update(repr((e.time_ms, e.kind.value, e.func, cid, e.req_id,
-                       e.detail, e.worker_id)).encode())
+        # float(): the clock may run on numpy scalars; the digest pins
+        # the value, not the scalar type.
+        h.update(repr((float(e.time_ms), e.kind.value, e.func, cid,
+                       e.req_id, e.detail, e.worker_id)).encode())
     return h.hexdigest()
 
 
@@ -156,9 +158,9 @@ def test_digest_matches_golden(trace, case):
 
 RETIMING_DIGESTS = {
     "table":
-        "10a24021c3abab803a5cf1a922bb10978ddc56d19b693d9d920ec5b966966649",
+        "850f4bb4679e2cc4682033b8b04f71616ed080f2bb01e653ec5e1867a8ffec3f",
     "straggler":
-        "96d3a878bbdca590c06da4e4c81ea488bc4672684d29dc708b51ca466fa90eeb",
+        "2704b41d0ce67b265b8b9bf7ecd641fa2c4ea46b5ed3674725a52a1dc1298ef1",
     "tie":
         "7c407766c3a1fbc657d5d6aa2095d1017b1b4051960e842ff9f4bbd3d5914f4b",
 }
@@ -248,9 +250,9 @@ def test_retiming_digest_matches_golden(trace, case):
 
 DISPATCH_DIGESTS = {
     "hash":
-        "a878bf020c62c15c02962646e63ab362466e8a03963ba1b551ae7cf2e238e504",
+        "77428df67a98d737bfa5407aec1d14b633dca19991cb59233fb4cb00e58f945d",
     "least-loaded":
-        "2a302a9f4bb8718158ab6f55f07a3e006d46bf9620f0bddbb97eba9d7a663fe0",
+        "fa77a679473c8420d41536c5f93e6ef3ec1a0e740532c9e2ea16e435b5e2fed0",
 }
 
 DISPATCH_CRASHES = (

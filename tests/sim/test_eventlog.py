@@ -1,5 +1,6 @@
 """Tests for the structured event log."""
 
+import numpy as np
 import pytest
 
 from repro.policies.lru import LRUPolicy
@@ -158,3 +159,87 @@ class TestEventRecord:
         EventLog().record(*args)  # no sinks attached
         assert list(log) == seen == [Event(*args)]
         assert type(seen[0]) is Event
+
+
+class TestColumnStore:
+    """The log keeps columns; :attr:`EventLog.events` and the queries
+    rebuild the events that were recorded."""
+
+    ARGS = [(float(i), EventKind.EXEC_START if i % 2 else EventKind.ARRIVAL,
+             f"f{i % 3}", i if i % 4 else None, 10 + i, "warm" if i else "",
+             0 if i % 5 else None) for i in range(10)]
+
+    def _log(self, capacity=None, sinks=()):
+        log = EventLog(capacity=capacity, sinks=sinks)
+        for args in self.ARGS:
+            log.record(*args)
+        return log
+
+    def test_view_len_iteration_and_indexing(self):
+        log = self._log()
+        expected = [Event(*args) for args in self.ARGS]
+        view = log.events
+        assert len(view) == len(log) == 10
+        assert list(view) == list(log) == expected
+        assert [view[i] for i in range(10)] == expected
+        assert view[-1] == expected[-1] and view[-10] == expected[0]
+        assert view[2:5] == expected[2:5]
+        assert all(type(e) is Event for e in view)
+        for index in (10, -11):
+            with pytest.raises(IndexError):
+                view[index]
+        with pytest.raises(TypeError):
+            view[0] = expected[0]
+
+    def test_ids_keep_zero_and_none_apart(self):
+        log = self._log()
+        assert log.events[0].container_id is None
+        assert log.events[0].worker_id is None
+        assert log.events[1].worker_id == 0
+        assert log.of_container(None) == [
+            e for e in log if e.container_id is None]
+
+    def test_times_read_back_as_float(self):
+        log = EventLog()
+        log.record(np.float64(2.5), EventKind.ARRIVAL, "f")
+        (event,) = log
+        assert type(event.time_ms) is float and event.time_ms == 2.5
+
+    def test_rotated_ring_counts_and_order(self):
+        log = self._log(capacity=4)
+        assert (len(log), log.dropped, log.recorded) == (4, 6, 10)
+        expected = [Event(*args) for args in self.ARGS[6:]]
+        assert list(log) == list(log.events) == expected
+        assert log.events[0] == expected[0]
+        assert log.events[-1] == expected[-1]
+        assert log.of_kind(EventKind.ARRIVAL) == expected[::2]
+        assert log.of_func("f1") == [e for e in expected if e.func == "f1"]
+
+    def test_sinks_see_every_record_and_capacity_zero_keeps_none(self):
+        seen = []
+
+        class Sink:
+            def emit(self, event):
+                seen.append(event)
+
+        log = self._log(capacity=0, sinks=[Sink()])
+        assert seen == [Event(*args) for args in self.ARGS]
+        assert len(log) == 0 and list(log) == [] and list(log.events) == []
+        assert (log.dropped, log.recorded) == (10, 10)
+
+    def test_queries_on_a_rotated_ring(self):
+        log = EventLog(capacity=5)
+        log.record(0.0, EventKind.ARRIVAL, "f", req_id=1)
+        log.record(1.0, EventKind.PROVISION_START, "f", container_id=7,
+                   detail="bound")
+        for t in (2.0, 3.0):
+            log.record(t, EventKind.ARRIVAL, "g", req_id=int(t))
+        log.record(4.0, EventKind.CONTAINER_READY, "f", container_id=7)
+        log.record(5.0, EventKind.EXEC_START, "f", container_id=7,
+                   req_id=1, detail="cold")
+        # The ring now starts at the provision: the arrival rotated out.
+        assert log.dropped == 1
+        assert log.cold_start_of(1) == Event(
+            1.0, EventKind.PROVISION_START, "f", 7, None, "bound")
+        assert [e.time_ms for e in log.explain_request(1)] == [1.0, 4.0, 5.0]
+        assert log.cold_start_of(2) is None

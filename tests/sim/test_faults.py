@@ -593,6 +593,26 @@ class TestStragglerWindowStraddling:
         req = result.requests[0]
         assert req.end_ms == 1_600.0  # not the sampled-once 1500
 
+    @pytest.mark.parametrize("start_ms, end_ms", [
+        (0.0, 1_500.0),   # the window covers the start of the execution
+        (700.0, 1_500.0),  # it opens mid-execution (a retime overflows)
+    ])
+    def test_overflowing_multiplier_runs_to_the_window_edge(self, start_ms,
+                                                            end_ms):
+        """A finite multiplier whose product with the work overflows
+        (1e308) stalls the execution until the window closes, then the
+        rest runs at full speed. It used to fail mid-replay with
+        "non-finite time inf"."""
+        plan = FaultPlan(stragglers=(
+            StragglerSpec(worker_id=0, start_ms=start_ms, end_ms=end_ms,
+                          exec_multiplier=1e308),))
+        result, _, _ = run_chaos(plan, [Request("f0", 0.0, 800.0)],
+                                 workers=1)
+        req = result.requests[0]
+        assert req.start_ms == 500.0
+        done_before_ms = max(start_ms - 500.0, 0.0)
+        assert req.end_ms == end_ms + 800.0 - done_before_ms
+
     def test_cold_window_ends_mid_provision(self):
         """Provisioning 500 ms of work from t=0 under a 2x cold window
         that ends at 250: 125 ms of work done slowed, 375 at full speed
