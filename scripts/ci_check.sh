@@ -137,6 +137,44 @@ print(f"audit artifacts OK: {len(records)} records "
       f"({len(kinds)} kinds), metrics exposition non-empty")
 EOF
 
+echo "== probe rings vs sidecars (typed columns read back the stream) =="
+# The event log and the decision audit keep typed columns and rebuild
+# events and records on read. Replay a small trace with a JSONL sink on
+# both probes; each sidecar must equal, line for line, the JSON of what
+# the in-memory ring reads back.
+python - "$tmpdir" <<'EOF'
+import json, sys
+from repro.experiments.suites import policy_factories
+from repro.obs import AuditJsonlSink, CauseTracker, DecisionAudit
+from repro.sim.config import SimulationConfig
+from repro.sim.eventlog import EventLog
+from repro.sim.orchestrator import Orchestrator
+from repro.sim.telemetry import JsonlSink, event_to_dict
+from repro.traces.azure import azure_trace
+tmpdir = sys.argv[1]
+trace = azure_trace(seed=3, total_requests=3000, duration_ms=300_000.0)
+log = EventLog(sinks=[JsonlSink(f"{tmpdir}/ring-events.jsonl")])
+audit = DecisionAudit(sinks=[AuditJsonlSink(f"{tmpdir}/ring-audit.jsonl")])
+Orchestrator(trace.functions, policy_factories()["CIDRE"](trace),
+             SimulationConfig(capacity_gb=2.0), event_log=log, audit=audit,
+             attribution=CauseTracker()).run(trace.packed())
+log.close()
+audit.close()
+def dumps(item):
+    return json.dumps(item, separators=(",", ":")) + "\n"
+for name, ring in (("events", [event_to_dict(e) for e in log.events]),
+                   ("audit", audit.records)):
+    with open(f"{tmpdir}/ring-{name}.jsonl") as fh:
+        sidecar = fh.readlines()
+    assert len(sidecar) == len(ring) > 0, (name, len(sidecar), len(ring))
+    for number, (line, item) in enumerate(zip(sidecar, ring)):
+        assert line == dumps(item), (name, number, line, dumps(item))
+kinds = {r["kind"] for r in audit.records}
+assert {"css_scale", "gate_flip", "eviction_decision"} <= kinds, kinds
+print(f"probe rings match their sidecars: {len(log)} events, "
+      f"{len(audit)} audit records ({len(kinds)} kinds)")
+EOF
+
 echo "== sweep --progress heartbeat smoke (--jobs 2) =="
 python -m repro.cli sweep --preset azure --requests 1500 --seed 3 \
     --policies TTL,FaasCache --capacities 2,4 --jobs 2 --progress \

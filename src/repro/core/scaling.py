@@ -40,11 +40,22 @@ from typing import TYPE_CHECKING, Dict, Optional, Set
 from repro.core.window import MINUTES_MS, SlidingWindow
 from repro.policies.base import (OrchestrationPolicy, PolicyContext,
                                  ScalingDecision)
+from repro.records import Schema, SchemaFamily
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.container import Container
     from repro.sim.request import Request
     from repro.sim.worker import Worker
+
+
+#: Audit schemas of the ``css_scale`` and ``gate_flip`` records. A window
+#: statistic, the demand check and the backlog projection appear in a
+#: ``css_scale`` record only when they were evaluated.
+CSS_SCALE = SchemaFamily(
+    "css_scale", ("t", "func", "rid", "branch", "decision", "bss_enabled"),
+    ("t_i", "t_e", "t_d", "t_p", "demand_exceeds_pool", "projection"))
+GATE_FLIP = Schema("gate_flip", ("t", "func", "enabled", "reason",
+                                 "trigger"))
 
 
 class BSSScalingMixin(OrchestrationPolicy):
@@ -181,13 +192,11 @@ class CSSScalingMixin(OrchestrationPolicy):
         t_i = self.last_idle_ms(func, now)
         t_d = self.last_delay_ms(func, now)
         observing = self.audit is not None or self.metrics is not None
-        extra = {} if self.audit is not None else None
 
         if self.bss_enabled(func):
+            demand = None
             if t_i is not None and t_e is not None and t_i > t_e:
                 demand = self._demand_exceeds_pool(request, worker)
-                if extra is not None:
-                    extra["demand_exceeds_pool"] = demand
                 if not demand:
                     # The last speculative cold start sat idle longer than
                     # one execution: it was wasteful. Disable the
@@ -195,11 +204,11 @@ class CSSScalingMixin(OrchestrationPolicy):
                     self._set_bss(func, False, now, "T_i>T_e", "scale")
                     if observing:
                         self._note_scale(func, request, now, "disable",
-                                         "queue", t_i, t_e, t_d, t_p, extra)
+                                         "queue", t_i, t_e, t_d, t_p, demand)
                     return ScalingDecision.queue()
             if observing:
                 self._note_scale(func, request, now, "speculate",
-                                 "speculate", t_i, t_e, t_d, t_p, extra)
+                                 "speculate", t_i, t_e, t_d, t_p, demand)
             return ScalingDecision.speculate()
 
         # The queued backlog foreshadows this request's delayed cost: with
@@ -207,14 +216,15 @@ class CSSScalingMixin(OrchestrationPolicy):
         # ceil((W+1)/B) executions. Fold that into T_d so the cold path
         # reopens as soon as the queue outgrows the pool, instead of only
         # after some request has already suffered a full T_p of waiting.
+        projection = None
         if t_e is not None and self.live_delay_signal \
                 and self.ctx is not None:
             waiting = self.ctx.outstanding_waiters(func)
             busy = max(worker.busy_count(func), 1)
             projected = math.ceil((waiting + 1) / busy) * t_e
-            if extra is not None:
-                extra["projection"] = {"waiting": waiting, "busy": busy,
-                                       "projected_ms": projected}
+            if self.audit is not None:
+                projection = {"waiting": waiting, "busy": busy,
+                              "projected_ms": projected}
             t_d = projected if t_d is None else max(t_d, projected)
         if t_d is not None and t_p is not None and t_d > t_p:
             # Delayed warm starts now cost more than a cold start: the
@@ -225,12 +235,12 @@ class CSSScalingMixin(OrchestrationPolicy):
                 # Audit the decision before covering the backlog so the
                 # eviction records it may trigger follow their cause.
                 self._note_scale(func, request, now, "reopen", "speculate",
-                                 t_i, t_e, t_d, t_p, extra)
+                                 t_i, t_e, t_d, t_p, projection=projection)
             self._cover_backlog(func)
             return ScalingDecision.speculate()
         if observing:
             self._note_scale(func, request, now, "stay_queued", "queue",
-                             t_i, t_e, t_d, t_p, extra)
+                             t_i, t_e, t_d, t_p, projection=projection)
         return ScalingDecision.queue()
 
     # ------------------------------------------------------------------
@@ -251,14 +261,14 @@ class CSSScalingMixin(OrchestrationPolicy):
                 "CSS gate transitions (Algorithm 1 lines 5 and 11)",
                 ("func", "to"), (func, "on" if enabled else "off")).inc()
         if self.audit is not None:
-            self.audit.emit({"kind": "gate_flip", "t": now, "func": func,
-                             "enabled": enabled, "reason": reason,
-                             "trigger": trigger})
+            self.audit.emit(GATE_FLIP, (now, func, enabled, reason, trigger))
 
     def _note_scale(self, func: str, request: "Request", now: float,
                     branch: str, decision: str, t_i, t_e, t_d, t_p,
-                    extra) -> None:
-        """One ``css_scale`` record / branch counter per scale() call."""
+                    demand: Optional[bool] = None,
+                    projection: Optional[dict] = None) -> None:
+        """One ``css_scale`` record / branch counter per scale() call;
+        ``demand`` and ``projection`` are ``None`` when not evaluated."""
         if self.metrics is not None:
             self.metrics.counter_child(
                 "repro_css_scale_total",
@@ -266,17 +276,10 @@ class CSSScalingMixin(OrchestrationPolicy):
                 (branch,)).inc()
         if self.audit is None:
             return
-        record = {"kind": "css_scale", "t": now, "func": func,
-                  "rid": request.req_id, "branch": branch,
-                  "decision": decision,
-                  "bss_enabled": self.bss_enabled(func)}
-        for key, value in (("t_i", t_i), ("t_e", t_e),
-                           ("t_d", t_d), ("t_p", t_p)):
-            if value is not None:
-                record[key] = value
-        if extra:
-            record.update(extra)
-        self.audit.emit(record)
+        self.audit.emit(*CSS_SCALE.pick(
+            (now, func, request.req_id, branch, decision,
+             self.bss_enabled(func)),
+            (t_i, t_e, t_d, t_p, demand, projection)))
 
     def _cover_backlog(self, func: str) -> bool:
         """Provision speculative containers for queued requests that no

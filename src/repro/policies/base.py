@@ -36,6 +36,8 @@ import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, List, Optional, Protocol, Set
 
+from repro.records import SchemaFamily
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.container import Container
     from repro.sim.function import FunctionSpec
@@ -138,6 +140,13 @@ class PolicyContext(Protocol):
 
 #: Keys of one ``survivors`` entry of an ``eviction_decision`` record.
 SURVIVOR_KEYS = ("cid", "func", "priority")
+
+#: Audit schemas of an ``eviction_decision`` record, with and without the
+#: function the room was made for.
+EVICTION_DECISION = SchemaFamily(
+    "eviction_decision",
+    ("t", "wid", "need_mb", "freed_mb", "victims", "survivors"),
+    ("for_func",))
 
 
 def _survivor_rank(row: tuple) -> tuple:
@@ -511,18 +520,11 @@ class OrchestrationPolicy:
              for p, c in zip(priorities, candidates)
              if c.container_id not in chosen_ids),
             key=_survivor_rank)
-        record = {
-            "kind": "eviction_decision",
-            "t": now,
-            "wid": worker.worker_id,
-            "need_mb": need_mb,
-            "freed_mb": freed_mb,
-            "victims": audit.table(victim_keys, victims),
-            "survivors": audit.table(SURVIVOR_KEYS, survivors),
-        }
-        if for_func is not None:
-            record["for_func"] = for_func
-        return audit.emit(record)
+        return audit.emit(*EVICTION_DECISION.pick(
+            (now, worker.worker_id, need_mb, freed_mb,
+             audit.table(victim_keys, victims),
+             audit.table(SURVIVOR_KEYS, survivors)),
+            (for_func,)))
 
     # ------------------------------------------------------------------
     # Cost model

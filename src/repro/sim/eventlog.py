@@ -13,12 +13,16 @@ out to streaming :mod:`repro.sim.telemetry` sinks (``sinks``): every
 event still reaches each attached sink, while the in-memory buffer keeps
 only the newest ``capacity`` events.
 
-The log stores columns, not objects: times in an ``array('d')``, each
-kind as a one-byte code, ``func`` and ``detail`` as references to the
-strings the caller passed, and the three ids in ``array('q')`` columns
-with a sentinel for ``None``. An event costs about 58 bytes (its
-unshared detail strings included) instead of 130 for a GC-tracked tuple
-and its boxed fields, measured on the ``observed`` benchmark input. Readers see :class:`Event` named
+The log stores columns of numbers, not objects: times in an
+``array('d')``, each kind as a one-byte code, ``func`` and ``detail`` as
+``array('i')`` codes into per-log :class:`StringTable`\\ s (a detail
+string is kept once however many events carry it), and the three ids in
+``array('i')`` columns with the int32 minimum for ``None``; the id
+columns widen to ``array('q')`` the first time an id leaves the int32
+range. An event costs about 33 bytes, its share of the string tables
+included, where string references and ``array('q')`` ids cost about 58
+and an ``Event`` tuple with its boxed fields about 130, measured on the
+``observed`` benchmark input. Readers see :class:`Event` named
 tuples, built on access: :attr:`EventLog.events` is a read-only sequence
 view in recording order, and the queries filter on the columns before
 they build anything. A :class:`Event` is also what every sink receives;
@@ -151,8 +155,28 @@ class Event(NamedTuple):
         return "  ".join(parts)
 
 
-#: The id columns' ``None``: the int64 minimum, which no id takes.
-NO_ID = -(1 << 63)
+#: The id columns' ``None``: the int32 minimum, which no id takes.
+NO_ID = -(1 << 31)
+
+
+class StringTable(dict):
+    """Codes for strings, assigned in first-seen order.
+
+    ``table[value]`` is ``value``'s code (a new value gets the next one)
+    and ``table.strings[code]`` the value, so a column of codes keeps each
+    distinct string once.
+    """
+
+    __slots__ = ("strings",)
+
+    def __init__(self):
+        super().__init__()
+        self.strings: List[str] = []
+
+    def __missing__(self, value) -> int:
+        code = self[value] = len(self.strings)
+        self.strings.append(value)
+        return code
 
 
 class RingView(SequenceABC):
@@ -231,11 +255,13 @@ class EventLog:
         self.recorded = 0
         self._times = array("d")
         self._kinds = array("B")
-        self._funcs: List[str] = []
-        self._details: List[str] = []
-        self._cids = array("q")
-        self._rids = array("q")
-        self._wids = array("q")
+        self._func_table = StringTable()
+        self._detail_table = StringTable()
+        self._funcs = array("i")
+        self._details = array("i")
+        self._cids = array("i")
+        self._rids = array("i")
+        self._wids = array("i")
         self._sinks = tuple(sinks)
 
     def attach(self, sink) -> None:
@@ -266,28 +292,57 @@ class EventLog:
         cid = NO_ID if container_id is None else container_id
         rid = NO_ID if req_id is None else req_id
         wid = NO_ID if worker_id is None else worker_id
+        # ``get`` first: a hit is the common case, and ``table[key]``
+        # on a dict subclass takes the slow lookup path.
+        fcode = self._func_table.get(func)
+        if fcode is None:
+            fcode = self._func_table[func]
+        dcode = self._detail_table.get(detail)
+        if dcode is None:
+            dcode = self._detail_table[detail]
         if number < self._bound:
+            try:
+                self._cids.append(cid)
+                self._rids.append(rid)
+                self._wids.append(wid)
+            except OverflowError:
+                self._widen()
+                self._cids.append(cid)
+                self._rids.append(rid)
+                self._wids.append(wid)
             self._times.append(time_ms)
             self._kinds.append(kind.code)
-            self._funcs.append(func)
-            self._details.append(detail)
-            self._cids.append(cid)
-            self._rids.append(rid)
-            self._wids.append(wid)
+            self._funcs.append(fcode)
+            self._details.append(dcode)
         elif self._bound:
             slot = number % self._bound
+            try:
+                self._cids[slot] = cid
+                self._rids[slot] = rid
+                self._wids[slot] = wid
+            except OverflowError:
+                self._widen()
+                self._cids[slot] = cid
+                self._rids[slot] = rid
+                self._wids[slot] = wid
             self._times[slot] = time_ms
             self._kinds[slot] = kind.code
-            self._funcs[slot] = func
-            self._details[slot] = detail
-            self._cids[slot] = cid
-            self._rids[slot] = rid
-            self._wids[slot] = wid
+            self._funcs[slot] = fcode
+            self._details[slot] = dcode
         if self._sinks:
             event = Event(time_ms, kind, func, container_id, req_id, detail,
                           worker_id)
             for sink in self._sinks:
                 sink.emit(event)
+
+    def _widen(self) -> None:
+        """Move the id columns to 64-bit storage, keeping the rows every
+        column holds (an append that overflowed may have landed in some
+        id columns and not in others)."""
+        size = len(self._times)
+        self._cids, self._rids, self._wids = (
+            array("q", column[:size])
+            for column in (self._cids, self._rids, self._wids))
 
     def close(self) -> None:
         """Close every attached sink (flushes streaming file sinks)."""
@@ -307,18 +362,22 @@ class EventLog:
                                   self._cids, self._rids, self._details,
                                   self._wids)]
         new = tuple.__new__
+        funcs, details = self._func_table.strings, self._detail_table.strings
         for t, k, f, c, r, d, w in zip(*columns):
-            yield new(Event, (t, KINDS[k], f, None if c == NO_ID else c,
-                              None if r == NO_ID else r, d,
+            yield new(Event, (t, KINDS[k], funcs[f],
+                              None if c == NO_ID else c,
+                              None if r == NO_ID else r, details[d],
                               None if w == NO_ID else w))
 
     def _row(self, slot: int, number: int = 0) -> Event:
         """The event held in ``slot``."""
         cid, rid, wid = self._cids[slot], self._rids[slot], self._wids[slot]
         return tuple.__new__(Event, (
-            self._times[slot], KINDS[self._kinds[slot]], self._funcs[slot],
+            self._times[slot], KINDS[self._kinds[slot]],
+            self._func_table.strings[self._funcs[slot]],
             None if cid == NO_ID else cid, None if rid == NO_ID else rid,
-            self._details[slot], None if wid == NO_ID else wid))
+            self._detail_table.strings[self._details[slot]],
+            None if wid == NO_ID else wid))
 
     def _slots(self) -> Iterator[int]:
         """Slots of the held events, oldest first."""
@@ -337,7 +396,8 @@ class EventLog:
         return self._where(self._kinds, kind.code)
 
     def of_func(self, func: str) -> List[Event]:
-        return self._where(self._funcs, func)
+        code = self._func_table.get(func)
+        return [] if code is None else self._where(self._funcs, code)
 
     def of_container(self, container_id: Optional[int]) -> List[Event]:
         return self._where(self._cids, NO_ID if container_id is None
@@ -371,10 +431,11 @@ class EventLog:
         start = EventKind.EXEC_START.code
         provision_code = EventKind.PROVISION_START.code
         kinds, rids, cids = self._kinds, self._rids, self._cids
+        cold = self._detail_table.get("cold")
         serving_cid = NO_ID
         for slot in self._slots():
             if (kinds[slot] == start and rids[slot] == req_id
-                    and self._details[slot] == "cold"):
+                    and self._details[slot] == cold):
                 serving_cid = cids[slot]
                 break
         if serving_cid == NO_ID:

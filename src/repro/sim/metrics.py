@@ -21,8 +21,10 @@ import numpy as np
 from repro.sim.request import Request, StartType
 
 
-@dataclass
+@dataclass(slots=True)
 class MemorySample:
+    """One cluster memory sample; slotted, as a run keeps one per tick."""
+
     time_ms: float
     used_mb: float
 

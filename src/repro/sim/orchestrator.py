@@ -32,6 +32,7 @@ from math import inf
 from operator import attrgetter
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set
 
+from repro.records import Schema
 from repro.sim.config import SimulationConfig
 from repro.sim.container import Container, ContainerState
 from repro.sim.engine import Event, Simulator
@@ -43,6 +44,11 @@ from repro.sim.request import Request, StartType
 from repro.sim.worker import Worker
 from repro.policies.base import (OrchestrationPolicy, ScalingAction,
                                  ScalingDecision)
+
+#: Audit schema of the ``scale_down`` record minted for a policy-direct
+#: eviction.
+SCALE_DOWN = Schema("scale_down", ("t", "wid", "cid", "func", "mem_mb",
+                                   "idle_ms"))
 
 
 @dataclass
@@ -418,15 +424,10 @@ class Orchestrator:
             return
         cause_kind = "eviction" if decision_id is not None else "scale-down"
         if decision_id is None and self.audit is not None:
-            decision_id = self.audit.emit({
-                "kind": "scale_down",
-                "t": self.sim.now,
-                "wid": worker.worker_id,
-                "cid": container.container_id,
-                "func": container.spec.name,
-                "mem_mb": container.memory_mb,
-                "idle_ms": self.sim.now - container.last_idle_ms,
-            })
+            decision_id = self.audit.emit(SCALE_DOWN, (
+                self.sim.now, worker.worker_id, container.container_id,
+                container.spec.name, container.memory_mb,
+                self.sim.now - container.last_idle_ms))
         if container.speculative and not container.served_any:
             self.metrics.wasted_cold_starts += 1
         worker.remove(container)

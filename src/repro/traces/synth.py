@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -215,14 +216,24 @@ def synth_trace(name: str,
                                    arrivals)])
             sizes = np.concatenate([sizes,
                                     np.ones(n_steady, dtype=int)])
-        for epoch, size in zip(epochs, sizes):
-            jitter = rng.uniform(0.0, arrivals.burst_spread_ms, size=size)
-            execs = exec_medians[i] * rng.lognormal(0.0, exec_sigma,
-                                                    size=size)
-            for j in range(size):
-                requests.append(Request(spec.name,
-                                        float(epoch + jitter[j]),
-                                        float(max(execs[j], 1.0))))
+        # Two draws per burst, in stream order; ``uniform(0, s)`` is
+        # ``s * random()`` bit for bit, so the arithmetic can run on the
+        # function's draws at once (in place, to keep the peak low).
+        jitter = np.empty(int(sizes.sum()))
+        execs = np.empty_like(jitter)
+        end = 0
+        for size in sizes.tolist():
+            start, end = end, end + size
+            rng.random(out=jitter[start:end])
+            execs[start:end] = rng.lognormal(0.0, exec_sigma, size=size)
+        jitter *= arrivals.burst_spread_ms
+        arrival = np.repeat(epochs, sizes)
+        arrival += jitter
+        del jitter
+        execs *= exec_medians[i]
+        np.maximum(execs, 1.0, out=execs)
+        requests.extend(map(Request, repeat(spec.name), arrival.tolist(),
+                            execs.tolist()))
     if not requests:
         raise RuntimeError("generated an empty trace; raise total_requests")
     return Trace(name, specs, requests)

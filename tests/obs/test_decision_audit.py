@@ -16,6 +16,7 @@ from repro.experiments.runner import run_one
 from repro.experiments.suites import policy_factories
 from repro.obs import (AuditJsonlSink, AuditSink, DecisionAudit,
                        MetricsRegistry, RECORD_KINDS, read_audit_jsonl)
+from repro.records import Schema, SchemaFamily
 from repro.sim.config import SimulationConfig
 from repro.traces.synth import ArrivalModel, synth_trace
 
@@ -163,6 +164,165 @@ class TestRowStore:
         assert seen == [dict(self._emitted(i), did=i) for i in range(10)]
         assert len(audit) == 0 and list(audit.records) == []
         assert audit.record_by_id(9) is None
+
+class TestTypedColumns:
+    """Each value reads back as exactly what was emitted, with the same
+    JSON bytes, whichever column type it was stored in."""
+
+    @staticmethod
+    def _round_trip(schema, rows, capacity=None):
+        """Emit ``rows`` under ``schema``; return (ring, sidecar) records."""
+        seen = []
+
+        class Sink(AuditSink):
+            def emit(self, record):
+                seen.append(record)
+
+        audit = DecisionAudit(sinks=[Sink()], capacity=capacity)
+        for values in rows:
+            audit.emit(schema, values)
+        return audit, list(audit.records), seen
+
+    @staticmethod
+    def _jsonl(records):
+        return [json.dumps(r, separators=(",", ":")) for r in records]
+
+    def test_an_int_in_a_float_column_stays_an_int(self):
+        schema = Schema("k", ("t",))
+        _, ring, seen = self._round_trip(schema, [(1.5,), (0,), (2.5,)])
+        assert [r["t"] for r in ring] == [1.5, 0, 2.5]
+        assert [type(r["t"]) for r in ring] == [float, int, float]
+        assert self._jsonl(ring) == self._jsonl(seen)
+
+    def test_bools_and_none_read_back_as_themselves(self):
+        schema = Schema("k", ("on", "maybe"))
+        rows = [(True, None), (False, 3), (True, None)]
+        _, ring, seen = self._round_trip(schema, rows)
+        assert [(r["on"], r["maybe"]) for r in ring] == rows
+        assert all(type(r["on"]) is bool for r in ring)
+        assert ring[0]["maybe"] is None
+        assert self._jsonl(ring) == self._jsonl(seen)
+
+    def test_np_float64_reads_back_as_float_with_the_same_json(self):
+        schema = Schema("k", ("t", "cost"))
+        rows = [(np.float64(0.1) * 3, np.float64(1e-7)), (2.0, 1 / 3)]
+        _, ring, seen = self._round_trip(schema, rows)
+        assert [type(r["t"]) for r in ring] == [float, float]
+        assert [(r["t"], r["cost"]) for r in ring] == rows
+        assert self._jsonl(ring) == self._jsonl(seen)
+
+    def test_projection_dict_and_strings(self):
+        family = SchemaFamily("css_scale", ("func",), ("projection",))
+        projection = {"waiting": 3, "busy": 1,
+                      "projected_ms": np.float64(12.5)}
+        audit = DecisionAudit()
+        audit.emit(*family.pick(("f",), (None,)))
+        audit.emit(*family.pick(("g",), (projection,)))
+        assert list(audit.records) == [
+            {"kind": "css_scale", "func": "f", "did": 0},
+            {"kind": "css_scale", "func": "g", "projection": projection,
+             "did": 1}]
+
+    def test_a_str_column_given_another_type_keeps_both(self):
+        schema = Schema("k", ("func",))
+        _, ring, _ = self._round_trip(schema, [("a",), (7,), ("b",)])
+        assert [r["func"] for r in ring] == ["a", 7, "b"]
+
+    def test_ints_beyond_int64_keep_their_value(self):
+        schema = Schema("k", ("cid",))
+        rows = [(1 << 31,), (1 << 70,), (5,)]
+        _, ring, _ = self._round_trip(schema, rows)
+        assert [r["cid"] for r in ring] == [1 << 31, 1 << 70, 5]
+
+    def test_nested_rows_empty_and_not(self):
+        audit = DecisionAudit()
+        schema = Schema("eviction_decision", ("victims", "survivors"))
+        wide = ("cid", "func", "mem_mb", "priority")
+        narrow = ("cid", "func", "priority")
+        audit.emit(schema, (audit.table(wide, [(1, "a", 128.0, 0.5)]),
+                            audit.table(narrow, [])))
+        audit.emit(schema, (audit.table(narrow, []),
+                            audit.table(narrow, [(2, "b", 1.0),
+                                                 (1 << 31, "a", 2)])))
+        audit.emit(schema, (audit.table(narrow, [(3, "c", 0.25)]),
+                            audit.table(narrow, [])))
+        assert [(r["victims"], r["survivors"]) for r in audit] == [
+            ([{"cid": 1, "func": "a", "mem_mb": 128.0, "priority": 0.5}],
+             []),
+            ([], [{"cid": 2, "func": "b", "priority": 1.0},
+                  {"cid": 1 << 31, "func": "a", "priority": 2}]),
+            ([{"cid": 3, "func": "c", "priority": 0.25}], [])]
+        assert type(audit.records[1]["survivors"][1]["priority"]) is int
+
+    def test_a_table_column_given_a_non_table_keeps_both(self):
+        audit = DecisionAudit()
+        schema = Schema("k", ("victims",))
+        audit.emit(schema, (audit.table(("cid",), [(1,), (2,)]),))
+        audit.emit(schema, (None,))
+        audit.emit(schema, (audit.table(("cid",), [(3,)]),))
+        assert [r["victims"] for r in audit] == [
+            [{"cid": 1}, {"cid": 2}], None, [{"cid": 3}]]
+
+    def test_many_rows_read_back_across_batches(self):
+        schema = Schema("k", ("t", "cid", "func", "victims"))
+        audit = DecisionAudit()
+        rows = []
+        for i in range(300):
+            t = 0 if i == 130 else i / 4
+            cid = 1 << 70 if i == 200 else i
+            victims = audit.table(("cid",), [(i,)] * (i % 3))
+            rows.append((t, cid, f"f{i % 7}", victims))
+            audit.emit(schema, rows[-1])
+            if i == 100:
+                assert audit.record_by_id(99)["t"] == 99 / 4
+        got = list(audit.records)
+        assert [(r["t"], r["cid"], r["func"]) for r in got] == [
+            row[:3] for row in rows]
+        assert type(got[130]["t"]) is int and type(got[131]["t"]) is float
+        assert [r["victims"] for r in got] == [
+            [{"cid": i}] * (i % 3) for i in range(300)]
+
+    def test_schema_and_dict_records_read_back_alike(self):
+        audit = DecisionAudit()
+        schema = Schema("gate_flip", ("t", "func", "enabled"))
+        audit.emit(schema, (1.0, "f", True))
+        audit.emit({"kind": "gate_flip", "t": 1.0, "func": "f",
+                    "enabled": True})
+        audit.emit({"t": 2.0, "kind": "gate_flip"})
+        first, second, third = audit.records
+        assert first == dict(second, did=0)
+        assert list(first) == list(second)
+        assert list(third) == ["t", "kind", "did"]
+        assert [r["did"] for r in audit.of_kind("gate_flip")] == [0, 1, 2]
+
+    def test_value_count_must_match_the_schema(self):
+        audit = DecisionAudit()
+        with pytest.raises(ValueError, match="3 keys, got 2 values"):
+            audit.emit(Schema("k", ("a", "b", "c")), (1, 2))
+        with pytest.raises(ValueError, match="needs 2 values"):
+            audit.table(("cid", "func"), [(1, "a"), (2,)])
+
+    def test_bounded_audit_holds_only_its_records_rows(self):
+        audit = DecisionAudit(capacity=3)
+        schema = Schema("eviction_decision", ("t", "victims"))
+        for i in range(20):
+            audit.emit(schema, (float(i), audit.table(
+                ("cid", "func"), [(i * 10 + j, f"f{j}")
+                                  for j in range(i % 4)])))
+        held = list(audit.records)
+        assert [r["t"] for r in held] == [17.0, 18.0, 19.0]
+        assert [len(r["victims"]) for r in held] == [1, 2, 3]
+        assert held[2]["victims"][2] == {"cid": 192, "func": "f2"}
+
+        def stored_rows(block):
+            rows = len(block.columns[0].data) if block.columns else 0
+            for column in block.columns:
+                if column.code == "t":
+                    rows += sum(stored_rows(c) for c in column.children)
+            return rows
+
+        assert sum(stored_rows(b) for b in audit._blocks) == 3 + 6
+
 
 class TestCssScaleRecords:
     def test_audit_nonempty_and_kinds_known(self, pressure_run):

@@ -1,13 +1,13 @@
 """Bytes the event log and the decision audit retain per record.
 
-Both probes store compact rows (columns for events, one value tuple per
-audit record) instead of one Python object per record. This test
-replays a small pressure-shaped CIDRE run with both attached, then
-drops each store and counts the bytes ``tracemalloc`` sees freed.
+Both probes keep numbers in typed columns instead of Python objects
+per record. This test replays a small pressure-shaped CIDRE run with
+both attached, then drops each store and counts the bytes
+``tracemalloc`` sees freed.
 
-The bounds sit between the two layouts, with room for the event mix:
-this replay frees ~57 bytes per event and ~320 per audit record, where
-stored objects freed ~128 and ~660.
+The bounds sit below the previous layout, with room for the event mix:
+this replay frees ~34 bytes per event and ~136 per audit record, where
+string references and one value tuple per record freed ~57 and ~323.
 """
 
 import gc
@@ -20,8 +20,8 @@ from repro.sim.eventlog import EventLog
 from repro.sim.orchestrator import Orchestrator
 from repro.traces.azure import azure_trace
 
-MAX_BYTES_PER_EVENT = 80
-MAX_BYTES_PER_RECORD = 450
+MAX_BYTES_PER_EVENT = 40
+MAX_BYTES_PER_RECORD = 200
 
 
 def _freed_bytes(stores: dict, name: str) -> int:

@@ -243,3 +243,33 @@ class TestColumnStore:
             1.0, EventKind.PROVISION_START, "f", 7, None, "bound")
         assert [e.time_ms for e in log.explain_request(1)] == [1.0, 4.0, 5.0]
         assert log.cold_start_of(2) is None
+
+    def test_strings_are_kept_once_and_read_back(self):
+        log = self._log()
+        assert [e.func for e in log] == [args[2] for args in self.ARGS]
+        assert [e.detail for e in log] == [args[5] for args in self.ARGS]
+        assert log.of_func("nope") == []
+        assert log._func_table.strings == ["f0", "f1", "f2"]
+        assert log._detail_table.strings == ["", "warm"]
+
+    def test_ids_beyond_int32_widen_the_id_columns(self):
+        big = 1 << 31
+        log = EventLog()
+        log.record(0.0, EventKind.ARRIVAL, "f", req_id=1)
+        log.record(1.0, EventKind.PROVISION_START, "f", container_id=big,
+                   worker_id=2)
+        log.record(2.0, EventKind.EXEC_START, "f", container_id=big,
+                   req_id=(1 << 40), detail="cold", worker_id=None)
+        assert log._cids.typecode == "q"
+        assert [(e.container_id, e.req_id, e.worker_id) for e in log] == [
+            (None, 1, None), (big, None, 2), (big, 1 << 40, None)]
+        assert log.of_container(big) == list(log)[1:]
+        assert log.cold_start_of(1 << 40) == log.events[1]
+
+    def test_a_rotated_ring_widens_in_place(self):
+        log = EventLog(capacity=2)
+        for i in range(3):
+            log.record(float(i), EventKind.ARRIVAL, "f", req_id=i)
+        log.record(3.0, EventKind.ARRIVAL, "f", req_id=1 << 33)
+        assert [e.req_id for e in log] == [2, 1 << 33]
+        assert len(log._rids) == len(log._times) == 2
